@@ -137,15 +137,9 @@ void report_batch(long long generations, long long candidates,
                generations, candidates, backend.c_str());
 }
 
-/// Async-pipeline work summary (stderr): scheduler tasks plus the
-/// speculative-prefetch outcome. Hits moved real work off the critical
-/// path; wasted entries burned idle time only (they never change results).
-void report_pipeline(long long tasks, long long spec_hits,
-                     long long spec_wasted) {
-  std::fprintf(stderr,
-               "pipeline: %lld graph tasks; speculation: %lld hits, %lld "
-               "wasted\n",
-               tasks, spec_hits, spec_wasted);
+/// Async-pipeline work summary (stderr): scheduler tasks run.
+void report_pipeline(long long tasks) {
+  std::fprintf(stderr, "pipeline: %lld graph tasks\n", tasks);
 }
 
 /// Surrogate-pruning summary (stderr): bound consultations and the
@@ -177,8 +171,7 @@ int cmd_search(const std::string& net_name, const std::string& env_name,
   report_store(store, res.store_entries_loaded, res.mapping_searches);
   report_batch(res.generations_batched, res.candidates_batch_evaluated,
                res.cost_backend);
-  report_pipeline(res.tasks_executed, res.speculative_hits,
-                  res.speculative_wasted);
+  report_pipeline(res.tasks_executed);
   report_surrogate(opts.surrogate, res.surrogate_consults,
                    res.surrogate_pruned);
   if (!std::isfinite(res.best_geomean_edp)) {
@@ -220,8 +213,7 @@ int cmd_cosearch(const std::string& env_name, double min_accuracy,
   report_store(store, res.store_entries_loaded, res.mapping_searches);
   report_batch(res.generations_batched, res.candidates_batch_evaluated,
                res.cost_backend);
-  report_pipeline(res.tasks_executed, res.speculative_hits,
-                  res.speculative_wasted);
+  report_pipeline(res.tasks_executed);
   report_surrogate(opts.surrogate, res.surrogate_consults,
                    res.surrogate_pruned);
   if (!std::isfinite(res.best_edp)) {

@@ -41,13 +41,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "core/fault.hpp"
 #include "fleet/router.hpp"
 #include "serve/server.hpp"
+#include "serve/stdin_reader.hpp"
 
 namespace {
 
@@ -75,12 +75,16 @@ bool all_whitespace(const std::string& line) {
   return true;
 }
 
+// SIGINT/SIGTERM drain whichever front end runs: the TCP server, or the
+// stdin reader, whose self-pipe wakes a blocked read.
 volatile std::sig_atomic_t g_stop = 0;
 std::atomic<naas::serve::Server*> g_server{nullptr};
+std::atomic<naas::serve::StdinLineReader*> g_stdin{nullptr};
 
 void on_signal(int) {
   g_stop = 1;
   if (naas::serve::Server* s = g_server.load()) s->request_stop();
+  if (naas::serve::StdinLineReader* r = g_stdin.load()) r->stop();
 }
 
 void install_signal_handlers() {
@@ -88,7 +92,10 @@ void install_signal_handlers() {
   std::memset(&sa, 0, sizeof(sa));
   sa.sa_handler = on_signal;
   sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // no SA_RESTART: a blocked stdin read must EINTR out
+  // Both front ends wake through a pipe, not through EINTR, so let an
+  // interrupted blocking write to stdout resume instead of failing
+  // mid-response.
+  sa.sa_flags = SA_RESTART;
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
 }
@@ -233,8 +240,11 @@ int main(int argc, char** argv) {
       admitted_in_batch = 0;
     };
 
+    serve::StdinLineReader input;
+    g_stdin.store(&input);
+    if (g_stop) input.stop();  // signal raced the publish
     std::string line;
-    while (!g_stop && std::getline(std::cin, line)) {
+    while (input.next(line)) {
       if (all_whitespace(line)) {
         submit();
       } else if (line.size() > server_options.max_line_bytes) {
@@ -255,6 +265,7 @@ int main(int argc, char** argv) {
         ++admitted_in_batch;
       }
     }
+    g_stdin.store(nullptr);
     submit();
   }
 

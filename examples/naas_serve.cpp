@@ -62,13 +62,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "core/fault.hpp"
 #include "fleet/replicator.hpp"
 #include "serve/server.hpp"
+#include "serve/stdin_reader.hpp"
 #include "serve/service.hpp"
 
 namespace {
@@ -100,16 +100,18 @@ bool all_whitespace(const std::string& line) {
   return true;
 }
 
-// SIGINT/SIGTERM request a graceful drain. Installed WITHOUT SA_RESTART so
-// a blocked stdin read returns with EINTR instead of resuming — the loop
-// then falls through to "submit what we have, flush, exit 0". In TCP mode
-// the handler pokes the server's (async-signal-safe) stop request.
+// SIGINT/SIGTERM request a graceful drain. The handler pokes the
+// (async-signal-safe) stop request of whichever front end runs: the TCP
+// server, or the stdin reader, whose self-pipe wakes a blocked read. The
+// stdin loop then falls through to "submit what we have, flush, exit 0".
 volatile std::sig_atomic_t g_stop = 0;
 std::atomic<naas::serve::Server*> g_server{nullptr};
+std::atomic<naas::serve::StdinLineReader*> g_stdin{nullptr};
 
 void on_signal(int) {
   g_stop = 1;
   if (naas::serve::Server* s = g_server.load()) s->request_stop();
+  if (naas::serve::StdinLineReader* r = g_stdin.load()) r->stop();
 }
 
 void install_signal_handlers() {
@@ -117,7 +119,10 @@ void install_signal_handlers() {
   std::memset(&sa, 0, sizeof(sa));
   sa.sa_handler = on_signal;
   sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // deliberately not SA_RESTART
+  // Both front ends wake through a pipe, not through EINTR, so let an
+  // interrupted blocking write to stdout resume instead of failing
+  // mid-response.
+  sa.sa_flags = SA_RESTART;
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
 }
@@ -311,8 +316,11 @@ int main(int argc, char** argv) {
         handler.refresh();
     };
 
+    serve::StdinLineReader input;
+    g_stdin.store(&input);
+    if (g_stop) input.stop();  // signal raced the publish
     std::string line;
-    while (!g_stop && std::getline(std::cin, line)) {
+    while (input.next(line)) {
       if (all_whitespace(line)) {
         submit();
       } else if (line.size() > server_options.max_line_bytes) {
@@ -335,6 +343,7 @@ int main(int argc, char** argv) {
         ++admitted_in_batch;
       }
     }
+    g_stdin.store(nullptr);
     // EOF or drain signal: either way, finish what was taken. The final
     // store flush rides the EvalService destructor (plus the per-batch
     // refresh above), so a killed warm server loses no completed results.
@@ -356,12 +365,8 @@ int main(int argc, char** argv) {
                service.evaluator().generations_batched(),
                service.evaluator().candidates_batch_evaluated(),
                service.cost_backend_name());
-  std::fprintf(stderr,
-               "serve: pipeline ran %lld graph tasks; speculation: %lld "
-               "hits, %lld wasted\n",
-               service.evaluator().tasks_executed(),
-               service.evaluator().speculative_hits(),
-               service.evaluator().speculative_wasted());
+  std::fprintf(stderr, "serve: pipeline ran %lld graph tasks\n",
+               service.evaluator().tasks_executed());
   std::fprintf(stderr, "serve: surrogate: %lld consults, %lld pruned\n",
                service.evaluator().surrogate_consults(),
                service.evaluator().surrogate_pruned());

@@ -69,10 +69,9 @@ class Rng {
 };
 
 /// Derives the seed of an independent substream from a base seed and a
-/// stream id (SplitMix64 finalization over both). The task-graph pipeline
-/// keys every auxiliary generator — e.g. the per-generation speculative
-/// resampling streams — off the primary seed this way, so auxiliary draws
-/// never advance (and therefore never perturb) the optimizer's own stream.
+/// stream id (SplitMix64 finalization over both). Keying auxiliary
+/// generators off the primary seed this way means their draws never
+/// advance (and therefore never perturb) the primary stream.
 std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t stream);
 
 /// Convenience: an Rng seeded with stream_seed(seed, stream).

@@ -12,8 +12,7 @@ TaskGraph::TaskGraph(ThreadPool* pool) : pool_(pool) {
 }
 
 TaskGraph::TaskId TaskGraph::submit(std::function<void()> fn,
-                                    const std::vector<TaskId>& deps,
-                                    Priority priority) {
+                                    const std::vector<TaskId>& deps) {
   bool ready = false;
   TaskId id = 0;
   {
@@ -21,7 +20,6 @@ TaskGraph::TaskId TaskGraph::submit(std::function<void()> fn,
     id = next_id_++;
     Task task;
     task.fn = std::move(fn);
-    task.priority = priority;
     for (const TaskId dep : deps) {
       if (dep == 0 || dep >= id)
         throw std::invalid_argument("TaskGraph::submit: unknown dependency id");
@@ -33,7 +31,7 @@ TaskGraph::TaskId TaskGraph::submit(std::function<void()> fn,
     ready = task.unmet == 0;
     tasks_.emplace(id, std::move(task));
     ++pending_;
-    if (ready) push_ready_locked(id, priority);
+    if (ready) ready_.insert(id);
   }
   if (ready) cv_.notify_one();
   return id;
@@ -64,37 +62,12 @@ void TaskGraph::fulfill(TaskId promise) {
   cv_.notify_all();
 }
 
-void TaskGraph::promote(TaskId id) {
-  bool became_normal_ready = false;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    const auto it = tasks_.find(id);
-    if (it == tasks_.end()) return;  // already completed
-    if (it->second.priority == Priority::kNormal) return;
-    it->second.priority = Priority::kNormal;
-    const auto ready = ready_speculative_.find(id);
-    if (ready != ready_speculative_.end()) {
-      ready_speculative_.erase(ready);
-      ready_normal_.insert(id);
-      became_normal_ready = true;
-    }
-  }
-  if (became_normal_ready) cv_.notify_one();
-}
-
-void TaskGraph::push_ready_locked(TaskId id, Priority priority) {
-  (priority == Priority::kNormal ? ready_normal_ : ready_speculative_)
-      .insert(id);
-}
-
 TaskGraph::TaskId TaskGraph::pop_ready_locked() {
-  // Normal work always preempts speculation; within a class, the lowest id
-  // (oldest submission) runs first, which makes the serial mode's execution
-  // order deterministic and keeps parallel claim order sensible.
-  std::set<TaskId>& from =
-      !ready_normal_.empty() ? ready_normal_ : ready_speculative_;
-  const TaskId id = *from.begin();
-  from.erase(from.begin());
+  // The lowest id (oldest submission) runs first, which makes the serial
+  // mode's execution order deterministic and keeps parallel claim order
+  // sensible.
+  const TaskId id = *ready_.begin();
+  ready_.erase(ready_.begin());
   return id;
 }
 
@@ -103,8 +76,7 @@ void TaskGraph::complete_locked(TaskId id) {
   for (const TaskId dep_id : node.mapped().dependents) {
     const auto it = tasks_.find(dep_id);
     if (it == tasks_.end()) continue;  // cancelled
-    if (--it->second.unmet == 0)
-      push_ready_locked(dep_id, it->second.priority);
+    if (--it->second.unmet == 0) ready_.insert(dep_id);
   }
   --pending_;
 }
@@ -113,8 +85,7 @@ void TaskGraph::cancel_remaining_locked() {
   for (const auto& [id, task] : tasks_)
     if (!task.is_promise) ++stats_.tasks_skipped;
   tasks_.clear();
-  ready_normal_.clear();
-  ready_speculative_.clear();
+  ready_.clear();
   pending_ = 0;
 }
 
@@ -157,10 +128,10 @@ void TaskGraph::worker_loop() {
   std::unique_lock<std::mutex> lk(mutex_);
   while (true) {
     cv_.wait(lk, [this] {
-      return !ready_empty_locked() || pending_ == 0 || running_ == 0;
+      return !ready_.empty() || pending_ == 0 || running_ == 0;
     });
     if (pending_ == 0) return;
-    if (ready_empty_locked()) {
+    if (ready_.empty()) {
       if (running_ > 0) continue;  // spurious wake while others still run
       // Nothing ready, nothing running, tasks pending: every live task
       // waits on a promise nobody can fulfill. After an error this is the
@@ -182,7 +153,7 @@ void TaskGraph::worker_loop() {
 void TaskGraph::run_serial() {
   std::unique_lock<std::mutex> lk(mutex_);
   while (pending_ > 0) {
-    if (ready_empty_locked()) {
+    if (ready_.empty()) {
       if (!error_)
         error_ = std::make_exception_ptr(std::logic_error(
             "TaskGraph stalled: live tasks blocked on an unfulfilled "

@@ -269,8 +269,6 @@ CoSearchResult run_cosearch(const cost::CostModel& model,
   result.generations_batched = evaluator.generations_batched();
   result.candidates_batch_evaluated = evaluator.candidates_batch_evaluated();
   result.tasks_executed = evaluator.tasks_executed();
-  result.speculative_hits = evaluator.speculative_hits();
-  result.speculative_wasted = evaluator.speculative_wasted();
   result.surrogate_consults = evaluator.surrogate_consults();
   result.surrogate_pruned = evaluator.surrogate_pruned();
   result.wall_seconds = timer.seconds();

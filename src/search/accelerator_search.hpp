@@ -5,7 +5,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "arch/resources.hpp"
@@ -101,19 +100,11 @@ class ArchEvaluator {
     return candidates_batch_evaluated_.load();
   }
 
-  /// Scheduler work meters. tasks_executed counts every task-graph task run
-  /// under this evaluator (chain setups, generation shards, continuations,
-  /// publishes, candidate finalizes — including speculative chains);
-  /// deterministic for any thread count, since a chain's task breakdown
-  /// depends only on its budget. speculative_hits counts speculatively
-  /// evaluated cache keys that real work later needed (their entry meters
-  /// transfer to the real counters at that moment, which is what keeps
-  /// cost_evaluations/mapping_searches identical to a speculation-free
-  /// run); speculative_wasted is the live count of speculative entries no
-  /// real request has touched yet.
+  /// Scheduler work meter: every task-graph task run under this evaluator
+  /// (chain setups, generation shards, continuations, publishes, candidate
+  /// finalizes). Deterministic for any thread count, since a chain's task
+  /// breakdown depends only on its budget.
   long long tasks_executed() const;
-  long long speculative_hits() const { return speculative_hits_.load(); }
-  long long speculative_wasted() const;
 
   /// Surrogate-pruning meters: lower-bound consultations the outer search
   /// charged to this evaluator, and how many of them pruned (skipped) a
@@ -202,17 +193,8 @@ class ArchEvaluator {
   MappingSearchOptions layer_options(const nn::Workload& layer) const;
 
   // --- EvalPipeline accounting hooks -----------------------------------
-  /// Counts a freshly published real search into the work meters.
-  void record_real_publish(const MappingSearchResult& entry);
-  /// Marks `key` as speculatively computed but not yet needed.
-  void record_speculative_publish(std::uint64_t key);
-  /// Real work touched `key`: if it was an unclaimed speculative entry,
-  /// transfer its meters to the real counters and record the hit. Safe to
-  /// call for any key (no-op for real/claimed/preloaded entries).
-  void claim_speculative(std::uint64_t key);
-  /// Records a speculative hit whose meters the pending publish will count
-  /// as real directly (promotion before publication).
-  void note_speculative_hit() { speculative_hits_.fetch_add(1); }
+  /// Counts a freshly published search into the work meters.
+  void record_publish(const MappingSearchResult& entry);
   /// Folds one pipeline run's scheduler stats into the aggregate.
   void absorb_scheduler_stats(const core::TaskGraph::Stats& delta);
 
@@ -225,12 +207,8 @@ class ArchEvaluator {
   std::atomic<long long> mapping_searches_{0};
   std::atomic<long long> generations_batched_{0};
   std::atomic<long long> candidates_batch_evaluated_{0};
-  std::atomic<long long> speculative_hits_{0};
   std::atomic<long long> surrogate_consults_{0};
   std::atomic<long long> surrogate_pruned_{0};
-  /// Speculatively computed cache keys no real request has claimed yet.
-  mutable std::mutex speculative_mutex_;
-  std::unordered_set<std::uint64_t> speculative_unclaimed_;
   mutable std::mutex sched_mutex_;
   core::TaskGraph::Stats sched_stats_;
   std::size_t store_entries_loaded_ = 0;
@@ -268,19 +246,6 @@ struct NaasOptions {
   std::string cache_path;
   /// Load the store but never write it back (shared/read-only caches).
   bool cache_readonly = false;
-  /// Speculative evaluation: while a generation's stragglers drain,
-  /// predict the decoded architectures the next generation is most likely
-  /// to contain (the decode-bucket predictor of search/speculation.* — it
-  /// enumerates the highest-probability quantization cells of the current
-  /// CMA distribution and composes the top-K joint decodes; it reads only
-  /// the distribution's mean and marginal deviations, so the optimizer's
-  /// RNG stream never moves) and pre-run their mapping searches at idle
-  /// priority into the EvalCache under the standard keys. Speculation can
-  /// only turn future misses into hits: every visible output — results,
-  /// reports, and all real work meters — is bit-identical with speculation
-  /// on or off, at any thread count. Costs wasted idle-time work when
-  /// predictions miss (metered as speculative_wasted).
-  bool speculate = true;
   /// Analytical surrogate pruning (search/surrogate.*): under kPrune, each
   /// resource-feasible candidate's roofline lower bound is compared with
   /// the best geomean EDP known at its generation's start. Candidates
@@ -317,9 +282,10 @@ struct NaasResult {
   /// Batched-cost-model meters (see ArchEvaluator::generations_batched).
   long long generations_batched = 0;
   long long candidates_batch_evaluated = 0;
-  /// Scheduler work meters (see ArchEvaluator::tasks_executed /
-  /// speculative_hits / speculative_wasted).
+  /// Scheduler work meter (see ArchEvaluator::tasks_executed).
   long long tasks_executed = 0;
+  /// Always 0. Kept only because the frozen benchmark source
+  /// (naasbench/src/search_workloads.cpp) still reads them.
   long long speculative_hits = 0;
   long long speculative_wasted = 0;
   /// Surrogate-pruning meters (see NaasOptions::surrogate): lower-bound
@@ -356,11 +322,8 @@ void flush_to_store(const ArchEvaluator& evaluator, const std::string& path,
 /// The whole evolution runs as ONE task graph: every candidate's layer
 /// chains interleave freely, each candidate reports its fitness through
 /// CmaEs::tell_partial as it finishes, and the report that completes a
-/// generation *schedules* the next one (no join anywhere). While a
-/// generation's stragglers drain, likely next-generation candidates are
-/// speculatively pre-evaluated into the cache at idle priority (see
-/// NaasOptions::speculate). The returned result is bit-identical for any
-/// `options.num_threads` and for speculation on/off.
+/// generation *schedules* the next one (no join anywhere). The returned
+/// result is bit-identical for any `options.num_threads`.
 NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
                     const std::vector<nn::Network>& benchmarks);
 

@@ -60,11 +60,6 @@ std::vector<double> CmaEs::sample_from(core::Rng& rng, double sigma) const {
 
 std::vector<double> CmaEs::sample_one() { return sample_from(rng_, sigma_); }
 
-double CmaEs::marginal_stddev(int i) const {
-  assert(i >= 0 && i < dim_);
-  return sigma_ * std::sqrt(std::max(0.0, cov_(i, i)));
-}
-
 std::vector<std::vector<double>> CmaEs::ask(
     const std::function<bool(const std::vector<double>&)>& valid) {
   std::vector<std::vector<double>> pop;

@@ -78,14 +78,6 @@ class CmaEs {
   /// Current global step size.
   double sigma() const { return sigma_; }
 
-  /// Marginal standard deviation of coordinate `i` under the current
-  /// sampling distribution: sigma * sqrt(C[i][i]). This is the read-only
-  /// window the decoded-space speculation predictor uses to weight decode
-  /// cells by their per-dimension Gaussian mass (search/speculation.*);
-  /// it touches no generator state, so consulting it never advances the
-  /// optimizer's stream.
-  double marginal_stddev(int i) const;
-
   /// Generations processed so far.
   int generation() const { return generation_; }
 

@@ -23,36 +23,6 @@ const MappingSearchResult& EvalCache::publish(std::uint64_t key,
   return it->second.result;
 }
 
-void EvalCache::mark_speculative(std::uint64_t key) {
-  Shard& shard = shards_[shard_index(key)];
-  std::lock_guard<std::mutex> lk(shard.m);
-  const auto it = shard.map.find(key);
-  if (it != shard.map.end()) it->second.speculative = true;
-}
-
-bool EvalCache::claim_speculative(std::uint64_t key) {
-  Shard& shard = shards_[shard_index(key)];
-  std::lock_guard<std::mutex> lk(shard.m);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end() || !it->second.speculative) return false;
-  it->second.speculative = false;
-  // Re-sequence: an incremental flush may already have passed this entry's
-  // original insertion number while it was hidden; the fresh number puts
-  // it after every mark handed out so far, so the next cut captures it.
-  it->second.seq = seq_.fetch_add(1) + 1;
-  return true;
-}
-
-std::size_t EvalCache::speculative_resident() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard.m);
-    for (const auto& [key, entry] : shard.map)
-      if (entry.speculative) ++total;
-  }
-  return total;
-}
-
 std::size_t EvalCache::size() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
@@ -91,7 +61,7 @@ EvalCache::snapshot_since(std::uint64_t since, std::uint64_t* high_mark) const {
   std::vector<std::pair<std::uint64_t, MappingSearchResult>> out;
   for (const Shard& shard : shards_) {
     for (const auto& [key, entry] : shard.map)
-      if (entry.seq > since && !entry.speculative)
+      if (entry.seq > since)
         out.emplace_back(key, entry.result);
   }
   std::sort(out.begin(), out.end(),

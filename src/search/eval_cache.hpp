@@ -40,23 +40,6 @@ class EvalCache {
                                      MappingSearchResult&& result,
                                      bool* inserted);
 
-  /// Tags a resident entry as speculative: computed ahead of need and not
-  /// yet touched by any real request. Tagged entries are invisible to
-  /// snapshot/snapshot_since — dead speculation must never bloat a
-  /// persistent store — until claim_speculative clears the tag.
-  void mark_speculative(std::uint64_t key);
-
-  /// Clears the speculative tag (first real touch). The entry re-enters
-  /// snapshot visibility with a *fresh* insertion number: a claim that
-  /// happens after an incremental flush mark would otherwise sit behind
-  /// `since` forever and never persist. Returns whether the entry was
-  /// resident and tagged.
-  bool claim_speculative(std::uint64_t key);
-
-  /// Resident entries currently tagged speculative (linearizable only when
-  /// quiescent; a test/meter helper, not a synchronization primitive).
-  std::size_t speculative_resident() const;
-
   /// Total entries across all shards (linearizable only when quiescent).
   std::size_t size() const;
 
@@ -78,11 +61,7 @@ class EvalCache {
   std::uint64_t sequence() const { return seq_.load(); }
 
   /// Entries whose insertion number is greater than `since`, sorted by key.
-  /// `snapshot_since(0)` equals `snapshot()`. Entries still tagged
-  /// speculative (published ahead of need, never touched by a real
-  /// request) are excluded: flushing them would persist work no caller
-  /// asked for, and claim_speculative re-sequences an entry on first real
-  /// touch so it is picked up by the next incremental cut instead.
+  /// `snapshot_since(0)` equals `snapshot()`.
   ///
   /// Linearizable cut: the scan holds every shard lock at once, so the
   /// result is exactly the entries with `since < seq <= *high_mark` — no
@@ -113,9 +92,6 @@ class EvalCache {
   struct Entry {
     MappingSearchResult result;
     std::uint64_t seq = 0;
-    /// True while the entry is unclaimed speculative work (see
-    /// mark_speculative); such entries are skipped by snapshots.
-    bool speculative = false;
   };
 
   struct Shard {

@@ -1,11 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
-
 #include <vector>
 
 #include "core/task_graph.hpp"
@@ -26,21 +23,8 @@ class ArchEvaluator;
 ///
 /// Dedup: chains are keyed by the evaluator's cache key; the first request
 /// submits the chain, later requests just return the id of its publish
-/// task (the task that moves the finished result into the EvalCache), so
-/// dependents can sequence after residency.
-///
-/// Speculation: `speculative` requests submit the chain at
-/// TaskGraph::Priority::kSpeculative — claimed only when no normal task is
-/// ready — and publish into the cache under the *standard* key with
-/// deferred accounting. Because mapping search is deterministic per key,
-/// a speculative result is byte-identical to the one a real request would
-/// have computed: speculation can only turn future misses into hits, never
-/// change an answer. When a real request later touches a speculatively
-/// computed key, the entry's work meters transfer to the evaluator's real
-/// counters (keeping cost_evaluations/mapping_searches identical to the
-/// barrier engine for any thread count and speculation setting) and a
-/// speculative hit is recorded; entries never touched stay out of the real
-/// meters and count as speculative waste.
+/// task (the task that moves the finished result into the EvalCache and
+/// meters it), so dependents can sequence after residency.
 ///
 /// Thread safety: request() may be called from graph task bodies (that is
 /// how the outer search schedules generation g+1's work from generation
@@ -48,10 +32,10 @@ class ArchEvaluator;
 /// caller or the single bookkeeping task of the moment. Every pipeline
 /// user satisfies this structurally: seed requests happen before run(),
 /// and in-flight requests only ever come from the one generation
-/// continuation that is active. The internal mutex orders that driver
-/// against concurrently executing publish bodies (and is never held
-/// across graph or cache calls — see the lock-hierarchy note in the
-/// implementation).
+/// continuation that is active (serialized by the outer search's lock).
+/// No task body touches the chain map — publish tasks only publish into
+/// the (mutex-striped) cache and bump atomic meters — so the map needs no
+/// lock of its own.
 class EvalPipeline {
  public:
   explicit EvalPipeline(ArchEvaluator& evaluator);
@@ -63,53 +47,33 @@ class EvalPipeline {
   /// Ensures the mapping-search result for (arch, layer) will be resident
   /// in the evaluator's cache once the returned task completes. Returns
   /// nothing when the result is already resident (no task to wait on);
-  /// otherwise the id of the chain's cache-publish task. A real request
-  /// for a key previously requested speculatively promotes its accounting
-  /// (speculative hit), never re-runs the search.
+  /// otherwise the id of the chain's cache-publish task.
   std::optional<core::TaskGraph::TaskId> request(const arch::ArchConfig& arch,
-                                                 const nn::Workload& layer,
-                                                 bool speculative);
+                                                 const nn::Workload& layer);
 
   /// request() over every unique layer shape of `net`, appending the ids
   /// of chains not yet resident to `deps` (when given). The shared
   /// traversal for all callers, so a candidate's dependency set can never
   /// drift out of sync with the chains actually requested for it.
   void request_network(const arch::ArchConfig& arch, const nn::Network& net,
-                       bool speculative,
                        std::vector<core::TaskGraph::TaskId>* deps = nullptr);
 
   /// request_network over a benchmark set; returns the collected ids (the
   /// dependency set of one candidate's assembly task).
   std::vector<core::TaskGraph::TaskId> request_benchmarks(
-      const arch::ArchConfig& arch, const std::vector<nn::Network>& benchmarks,
-      bool speculative);
+      const arch::ArchConfig& arch, const std::vector<nn::Network>& benchmarks);
 
-  /// Drives the graph to quiescence (including leftover speculative
-  /// chains, which drain at idle priority) and folds the scheduler stats
-  /// into the evaluator's work meters. Rethrows the first task error.
+  /// Drives the graph to quiescence and folds the scheduler stats into the
+  /// evaluator's work meters. Rethrows the first task error.
   void run();
 
  private:
-  /// One deduplicated (arch, layer) work unit.
-  struct Chain {
-    /// Result slot the chain fills; stable address for the task bodies.
-    std::unique_ptr<MappingSearchResult> result;
-    /// Publish-task id; 0 when the result was already resident at request
-    /// time (nothing to depend on).
-    core::TaskGraph::TaskId published = 0;
-    /// Raises the chain's tasks to normal priority (set for chains that
-    /// were submitted speculatively).
-    std::function<void()> promote;
-    /// True while only speculative requests have touched this key.
-    bool speculative = false;
-    /// True once the publish task has run (result resident).
-    bool publish_done = false;
-  };
-
   ArchEvaluator& evaluator_;
   core::TaskGraph graph_;
-  std::mutex mutex_;  ///< guards chains_ and the Chain records
-  std::unordered_map<std::uint64_t, Chain> chains_;
+  /// Publish-task id per requested key (one deduplicated (arch, layer)
+  /// work unit each); 0 when the result was already resident at request
+  /// time (nothing to depend on).
+  std::unordered_map<std::uint64_t, core::TaskGraph::TaskId> published_;
   core::TaskGraph::Stats absorbed_;  ///< stats already folded into meters
 };
 

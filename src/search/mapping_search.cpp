@@ -4,7 +4,6 @@
 #include <array>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -29,10 +28,8 @@ constexpr std::size_t kShardCandidates = 4;
 struct ChainState {
   ChainState(core::TaskGraph& g, const cost::CostModel& m,
              const arch::ArchConfig& a, const nn::Workload& l,
-             const MappingSearchOptions& o, MappingSearchResult* res,
-             core::TaskGraph::Priority p)
-      : graph(g), model(m), arch(a), layer(l), options(o), out(res),
-        priority(p) {}
+             const MappingSearchOptions& o, MappingSearchResult* res)
+      : graph(g), model(m), arch(a), layer(l), options(o), out(res) {}
 
   core::TaskGraph& graph;
   const cost::CostModel& model;
@@ -41,22 +38,6 @@ struct ChainState {
   MappingSearchOptions options;
   MappingSearchResult* out;
   core::TaskGraph::TaskId done = 0;  ///< promise fulfilled by the finale
-
-  /// Priority of new submissions plus the chain's currently live task
-  /// ids, guarded by `admin` so promote() — which may run on another
-  /// thread — flips the class and re-queues the live tasks atomically
-  /// with respect to the continuation that submits the next generation.
-  std::mutex admin;
-  core::TaskGraph::Priority priority;
-  std::vector<core::TaskGraph::TaskId> live_tasks;
-
-  /// Raises queued and future tasks to normal priority. Idempotent.
-  void promote() {
-    std::lock_guard<std::mutex> lk(admin);
-    if (priority == core::TaskGraph::Priority::kNormal) return;
-    priority = core::TaskGraph::Priority::kNormal;
-    for (const core::TaskGraph::TaskId id : live_tasks) graph.promote(id);
-  }
 
   std::optional<cost::LayerContext> ctx;
   std::optional<CmaEs> cma;
@@ -105,12 +86,6 @@ void submit_generation(const std::shared_ptr<ChainState>& st) {
   st->mappings.assign(n, mapping::Mapping{});
   st->reports.assign(n, cost::CostReport{});
 
-  // Submit the generation under the chain's admin lock: the priority read
-  // and the live-task recording must be atomic against a concurrent
-  // promote(), or a promotion could land between them and miss tasks.
-  std::lock_guard<std::mutex> lk(st->admin);
-  st->live_tasks.clear();
-
   std::vector<core::TaskGraph::TaskId> shard_ids;
   for (std::size_t lo = 0; lo < n; lo += kShardCandidates) {
     const std::size_t hi = std::min(n, lo + kShardCandidates);
@@ -127,13 +102,11 @@ void submit_generation(const std::shared_ptr<ChainState>& st) {
               std::span<const mapping::Mapping>(st->mappings)
                   .subspan(lo, hi - lo),
               std::span<cost::CostReport>(st->reports).subspan(lo, hi - lo));
-        },
-        {}, st->priority));
-    st->live_tasks.push_back(shard_ids.back());
+        }));
   }
 
   const auto num_shards = static_cast<long long>(shard_ids.size());
-  st->live_tasks.push_back(st->graph.submit(
+  st->graph.submit(
       [st, n, num_shards] {
         st->result.tasks_executed += 1 + num_shards;
         ++st->result.generations_batched;
@@ -146,56 +119,48 @@ void submit_generation(const std::shared_ptr<ChainState>& st) {
         ++st->iter;
         submit_generation(st);
       },
-      shard_ids, st->priority));
+      shard_ids);
 }
 
 }  // namespace
 
-MappingSearchChain submit_mapping_search(
+core::TaskGraph::TaskId submit_mapping_search(
     core::TaskGraph& graph, const cost::CostModel& model,
     const arch::ArchConfig& arch, const nn::Workload& layer,
-    const MappingSearchOptions& options, MappingSearchResult* out,
-    core::TaskGraph::Priority priority) {
+    const MappingSearchOptions& options, MappingSearchResult* out) {
   auto st = std::make_shared<ChainState>(graph, model, arch, layer, options,
-                                         out, priority);
+                                         out);
   st->done = graph.make_promise();
-  std::lock_guard<std::mutex> lk(st->admin);  // pairs with promote()
-  st->live_tasks.push_back(graph.submit(
-      [st] {
-        ++st->result.tasks_executed;
-        st->result.best_edp = std::numeric_limits<double>::infinity();
-        // One context carries every per-(arch, layer) invariant for the
-        // whole chain; all candidate scoring goes through the batched
-        // evaluator.
-        st->ctx.emplace(st->model.make_context(st->arch, st->layer));
+  graph.submit([st] {
+    ++st->result.tasks_executed;
+    st->result.best_edp = std::numeric_limits<double>::infinity();
+    // One context carries every per-(arch, layer) invariant for the whole
+    // chain; all candidate scoring goes through the batched evaluator.
+    st->ctx.emplace(st->model.make_context(st->arch, st->layer));
 
-        if (st->options.seed_canonical) {
-          std::array<mapping::Mapping, 3> seeds;
-          std::array<cost::CostReport, 3> seed_reports;
-          std::size_t k = 0;
-          for (arch::Dataflow df : {arch::Dataflow::kWeightStationary,
-                                    arch::Dataflow::kOutputStationary,
-                                    arch::Dataflow::kRowStationary})
-            seeds[k++] = mapping::canonical_mapping(st->arch, st->layer, df);
-          st->model.evaluate_batch(*st->ctx, seeds, seed_reports);
-          st->result.candidates_batch_evaluated +=
-              static_cast<long long>(seeds.size());
-          for (std::size_t i = 0; i < seeds.size(); ++i)
-            reduce(st->result, seeds[i], seed_reports[i]);
-        }
+    if (st->options.seed_canonical) {
+      std::array<mapping::Mapping, 3> seeds;
+      std::array<cost::CostReport, 3> seed_reports;
+      std::size_t k = 0;
+      for (arch::Dataflow df : {arch::Dataflow::kWeightStationary,
+                                arch::Dataflow::kOutputStationary,
+                                arch::Dataflow::kRowStationary})
+        seeds[k++] = mapping::canonical_mapping(st->arch, st->layer, df);
+      st->model.evaluate_batch(*st->ctx, seeds, seed_reports);
+      st->result.candidates_batch_evaluated +=
+          static_cast<long long>(seeds.size());
+      for (std::size_t i = 0; i < seeds.size(); ++i)
+        reduce(st->result, seeds[i], seed_reports[i]);
+    }
 
-        CmaEsOptions cma_opts;
-        cma_opts.dim = st->options.encoding.genome_size();
-        cma_opts.population = st->options.population;
-        cma_opts.seed = st->options.seed;
-        st->cma.emplace(cma_opts);
-        submit_generation(st);
-      },
-      {}, priority));
-  MappingSearchChain chain;
-  chain.done = st->done;
-  chain.promote = [st] { st->promote(); };
-  return chain;
+    CmaEsOptions cma_opts;
+    cma_opts.dim = st->options.encoding.genome_size();
+    cma_opts.population = st->options.population;
+    cma_opts.seed = st->options.seed;
+    st->cma.emplace(cma_opts);
+    submit_generation(st);
+  });
+  return st->done;
 }
 
 MappingSearchResult search_mapping(const cost::CostModel& model,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "arch/accelerator.hpp"
 #include "core/task_graph.hpp"
@@ -47,19 +46,6 @@ struct MappingSearchResult {
   long long tasks_executed = 0;
 };
 
-/// Handle to a submitted mapping-search chain.
-struct MappingSearchChain {
-  /// Promise that completes (with the caller's result slot filled) when
-  /// the chain finishes — the id dependents gate on.
-  core::TaskGraph::TaskId done = 0;
-  /// Raises the chain's queued and future tasks to normal priority.
-  /// Called when a speculatively submitted chain turns out to be needed
-  /// by real work: without promotion the chain would keep running only at
-  /// pool idle and become the critical path's straggler. Idempotent;
-  /// callable from any thread.
-  std::function<void()> promote;
-};
-
 /// Submits the whole CMA-driven mapping search for (arch, layer) onto
 /// `graph` as a chain of dependent tasks: a setup task (layer context +
 /// canonical seeds + generation 0 sampling), then per generation a batch of
@@ -68,14 +54,12 @@ struct MappingSearchChain {
 /// *schedules* the next generation — no task ever joins on another, so any
 /// number of chains interleave freely on one graph.
 /// `arch`/`layer`/`options` are copied; `out` must stay valid until the
-/// graph quiesces. Chains submitted with Priority::kSpeculative run only
-/// when nothing normal is ready (speculative cache prefetch) until
-/// promoted via the returned handle.
-MappingSearchChain submit_mapping_search(
+/// graph quiesces. Returns the id of a promise that completes (with `out`
+/// filled) when the chain finishes — the id dependents gate on.
+core::TaskGraph::TaskId submit_mapping_search(
     core::TaskGraph& graph, const cost::CostModel& model,
     const arch::ArchConfig& arch, const nn::Workload& layer,
-    const MappingSearchOptions& options, MappingSearchResult* out,
-    core::TaskGraph::Priority priority = core::TaskGraph::Priority::kNormal);
+    const MappingSearchOptions& options, MappingSearchResult* out);
 
 /// Searches the mapping space of `layer` on `arch`, returning the best
 /// (lowest-EDP) mapping found. Deterministic for a fixed seed and

@@ -112,6 +112,39 @@ TEST(NaasSearch, DeterministicForSeed) {
   EXPECT_EQ(arch_fingerprint(a.best_arch), arch_fingerprint(b.best_arch));
 }
 
+TEST(NaasSearch, ResultIdenticalAcrossThreadCounts) {
+  // Every visible output and work meter of a search is a pure function of
+  // (inputs, options): the pooled run must match the serial one bit for
+  // bit, per-generation statistics and scheduler task count included.
+  const cost::CostModel model;
+  NaasOptions opts = small_options(arch::eyeriss_resources(), 5);
+  opts.num_threads = 1;
+  const auto serial = run_naas(model, opts, tiny_benchmark());
+  opts.num_threads = 4;
+  const auto pooled = run_naas(model, opts, tiny_benchmark());
+
+  EXPECT_EQ(pooled.best_geomean_edp, serial.best_geomean_edp);
+  EXPECT_EQ(arch_fingerprint(pooled.best_arch),
+            arch_fingerprint(serial.best_arch));
+  EXPECT_EQ(pooled.population_best_edp, serial.population_best_edp);
+  EXPECT_EQ(pooled.population_mean_edp, serial.population_mean_edp);
+  ASSERT_EQ(pooled.best_networks.size(), serial.best_networks.size());
+  for (std::size_t i = 0; i < serial.best_networks.size(); ++i) {
+    const cost::NetworkCost& p = pooled.best_networks[i];
+    const cost::NetworkCost& s = serial.best_networks[i];
+    EXPECT_EQ(p.edp, s.edp) << i;
+    EXPECT_EQ(p.latency_cycles, s.latency_cycles) << i;
+    EXPECT_EQ(p.energy_nj, s.energy_nj) << i;
+    ASSERT_EQ(p.per_layer.size(), s.per_layer.size()) << i;
+    for (std::size_t l = 0; l < s.per_layer.size(); ++l)
+      EXPECT_EQ(p.per_layer[l].report.edp, s.per_layer[l].report.edp) << l;
+  }
+  EXPECT_EQ(pooled.cost_evaluations, serial.cost_evaluations);
+  EXPECT_EQ(pooled.mapping_searches, serial.mapping_searches);
+  EXPECT_EQ(pooled.generations_batched, serial.generations_batched);
+  EXPECT_EQ(pooled.tasks_executed, serial.tasks_executed);
+}
+
 TEST(NaasSearch, SizingOnlyModeRestrictsConnectivity) {
   const cost::CostModel model;
   NaasOptions opts = small_options(arch::nvdla_256_resources(), 5);

@@ -20,6 +20,7 @@
 #include "net/client.hpp"
 #include "search/result_store.hpp"
 #include "serve/json.hpp"
+#include "test_temp.hpp"
 
 namespace naas {
 namespace {
@@ -27,7 +28,7 @@ namespace {
 constexpr char kBinary[] = "./naas_serve";
 
 std::string temp_store_path(const std::string& name) {
-  return ::testing::TempDir() + "naas_proc_" + name + ".bin";
+  return test::unique_temp_path("naas_proc_" + name + ".bin");
 }
 
 /// A spawned naas_serve with pipes on stdin/stdout/stderr.

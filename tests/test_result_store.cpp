@@ -15,12 +15,13 @@
 #include "core/serialize.hpp"
 #include "nn/network.hpp"
 #include "search/accelerator_search.hpp"
+#include "test_temp.hpp"
 
 namespace naas {
 namespace {
 
 std::string temp_store_path(const std::string& name) {
-  return ::testing::TempDir() + "naas_store_" + name + ".bin";
+  return test::unique_temp_path("naas_store_" + name + ".bin");
 }
 
 search::MappingSearchResult sample_result() {
@@ -432,41 +433,6 @@ TEST(EvalCacheSince, IncrementalSnapshotsUnderConcurrentInsertionLoseNothing) {
   EXPECT_EQ(seen.size(),
             static_cast<std::size_t>(kWriters) * kKeysPerWriter);
   EXPECT_EQ(cache.size(), seen.size());
-}
-
-TEST(EvalCacheSince, SpeculativeEntriesStayOutOfSnapshotsUntilClaimed) {
-  // Dead speculation must never reach a persistent store: a speculatively
-  // published entry is invisible to snapshot/snapshot_since until its
-  // first real touch claims it, at which point it re-enters with a fresh
-  // sequence number so an incremental flush that already passed its
-  // original insertion number still picks it up.
-  search::EvalCache cache;
-  bool inserted = false;
-  cache.publish(100, sample_result(), &inserted);
-  cache.publish(200, sample_result(), &inserted);
-  cache.mark_speculative(200);
-  EXPECT_EQ(cache.speculative_resident(), 1u);
-
-  // Full and incremental snapshots both skip the tagged entry.
-  auto snap = cache.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].first, 100u);
-  std::uint64_t mark = 0;
-  EXPECT_EQ(cache.snapshot_since(0, &mark).size(), 1u);
-
-  // Claim after the flush mark: the entry must surface in the NEXT
-  // incremental cut (fresh sequence number), not be lost behind `mark`.
-  EXPECT_TRUE(cache.claim_speculative(200));
-  EXPECT_FALSE(cache.claim_speculative(200));  // second touch is a no-op
-  EXPECT_EQ(cache.speculative_resident(), 0u);
-  const auto fresh = cache.snapshot_since(mark);
-  ASSERT_EQ(fresh.size(), 1u);
-  EXPECT_EQ(fresh[0].first, 200u);
-  EXPECT_EQ(cache.snapshot().size(), 2u);
-
-  // Claiming an untagged or absent key does nothing.
-  EXPECT_FALSE(cache.claim_speculative(100));
-  EXPECT_FALSE(cache.claim_speculative(999));
 }
 
 // ------------------------------------------------------------- warm start

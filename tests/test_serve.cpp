@@ -12,6 +12,7 @@
 #include "search/result_store.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
+#include "test_temp.hpp"
 
 namespace naas {
 namespace {
@@ -21,7 +22,7 @@ using serve::Json;
 using serve::ServeOptions;
 
 std::string temp_store_path(const std::string& name) {
-  return ::testing::TempDir() + "naas_serve_" + name + ".bin";
+  return test::unique_temp_path("naas_serve_" + name + ".bin");
 }
 
 /// Tiny budget keeps searches fast; tests only need determinism.
@@ -427,7 +428,7 @@ TEST(EvalServiceTest, FailedAppendRetriesInsteadOfDroppingEntries) {
   // The entries must stay flagged for flush (refresh keeps reporting the
   // failure) rather than being silently dropped after the first attempt.
   const std::string store =
-      ::testing::TempDir() + "naas_no_such_dir/store.bin";
+      test::unique_temp_path("naas_no_such_dir") + "/store.bin";
   EvalService service(tiny_options(store));
   service.handle_line(search_line("cifarnet", 0));
   EXPECT_EQ(service.refresh(), search::StoreStatus::kIoError);
@@ -493,7 +494,7 @@ TEST(EvalServiceTest, RefreshRetryBackoffIsMetered) {
   // Every failed-append retry sleeps a jittered backoff; the meter makes
   // that invisible time visible (and provable) through cache_stats.
   const std::string store =
-      ::testing::TempDir() + "naas_no_such_dir/backoff.bin";
+      test::unique_temp_path("naas_no_such_dir") + "/backoff.bin";
   EvalService service(tiny_options(store));
   service.handle_line(search_line("cifarnet", 0));
   EXPECT_EQ(service.refresh(), search::StoreStatus::kIoError);

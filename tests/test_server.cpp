@@ -1,7 +1,9 @@
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "net/client.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
+#include "serve/stdin_reader.hpp"
 
 namespace naas {
 namespace {
@@ -174,24 +177,34 @@ TEST(Server, DefaultDeadlineAppliesWithoutRequestField) {
   ServerOptions opts = loopback_options();
   opts.default_deadline_ms = 1;
   // One request per dispatched batch: the second request must wait in the
-  // queue for the full first evaluation (far over 1 ms), so its default
-  // deadline deterministically expires before dispatch.
+  // queue for the full first evaluation, so its default deadline expires
+  // before dispatch. The first request carries its own generous deadline:
+  // on a loaded host even it can wait over 1 ms in the queue, and only the
+  // second one tests the default.
   opts.max_batch_requests = 1;
-  TestServer ts(opts);
+  // The first evaluation must also outlast any scheduling delay of the
+  // net thread between admitting the two lines: the woken eval thread can
+  // preempt it on a loaded host, and a request shorter than that delay
+  // would finish before the second line is even stamped. A large network
+  // at a realistic mapping budget keeps the eval thread busy for tens of
+  // milliseconds, far longer than one scheduler slice.
+  ServeOptions serve_opts = tiny_options();
+  serve_opts.mapping.population = 12;
+  serve_opts.mapping.iterations = 10;
+  TestServer ts(opts, serve_opts);
   ASSERT_TRUE(ts.start());
   LineClient client = ts.connect();
-  // A whole-network evaluation (one search per unique layer) holds the
-  // eval thread well past 1 ms; a single tiny search would not.
   ASSERT_TRUE(client.send_raw(
       "{\"id\":1,\"method\":\"evaluate_network\",\"arch\":{\"preset\":"
-      "\"nvdla256\"},\"network\":\"resnet50\"}\n"
+      "\"nvdla256\"},\"network\":\"unet\",\"deadline_ms\":60000}\n"
       "{\"id\":2,\"method\":\"cache_stats\"}\n"));
 
   std::string first, second;
   ASSERT_TRUE(client.read_line(&first, kReadTimeoutMs));
   ASSERT_TRUE(client.read_line(&second, kReadTimeoutMs));
-  EXPECT_TRUE(parse_response(first).get("ok")->as_bool());
-  EXPECT_EQ(error_code_of(parse_response(second)), "deadline_exceeded");
+  EXPECT_TRUE(parse_response(first).get("ok")->as_bool()) << first;
+  EXPECT_EQ(error_code_of(parse_response(second)), "deadline_exceeded")
+      << second;
 }
 
 TEST(Server, ZeroQueueShedsWithStructuredOverloaded) {
@@ -351,6 +364,61 @@ TEST(Server, ManyClientsInterleavedGetTheirOwnAnswers) {
   ts.stop();
   EXPECT_EQ(ts.server.stats().connections_accepted, kClients);
   EXPECT_EQ(ts.server.stats().requests_admitted, kClients);
+}
+
+// ------------------------------------------------------ stdin front end
+
+/// A pipe whose read end feeds a StdinLineReader; both ends close on exit.
+struct InputPipe {
+  int fds[2] = {-1, -1};
+  InputPipe() { EXPECT_EQ(::pipe(fds), 0); }
+  InputPipe(const InputPipe&) = delete;
+  InputPipe& operator=(const InputPipe&) = delete;
+  ~InputPipe() {
+    close_write();
+    ::close(fds[0]);
+  }
+  void write(const std::string& bytes) {
+    EXPECT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  void close_write() {
+    if (fds[1] >= 0) ::close(fds[1]);
+    fds[1] = -1;
+  }
+};
+
+TEST(StdinLineReader, SplitsLinesLikeGetline) {
+  InputPipe in;
+  serve::StdinLineReader reader(in.fds[0]);
+  in.write("a\nbb\n");
+  in.write("\ncc");
+  in.write("c");  // a final line without a newline still counts
+  in.close_write();
+  std::vector<std::string> lines;
+  std::string line;
+  while (reader.next(line)) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{"a", "bb", "", "ccc"}));
+}
+
+TEST(StdinLineReader, StopWakesABlockedReadAndDropsUntakenLines) {
+  InputPipe in;  // write end stays open: next() has nothing to return
+  serve::StdinLineReader reader(in.fds[0]);
+  bool got_line = true;
+  std::thread blocked([&] {
+    std::string line;
+    got_line = reader.next(line);
+  });
+  // Whether stop() lands before the read blocks or while it waits, the
+  // read must return; the sleep only makes the second case the usual one.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  reader.stop();
+  blocked.join();
+  EXPECT_FALSE(got_line);
+
+  in.write("late\n");  // arrived after the stop: never handed out
+  std::string line;
+  EXPECT_FALSE(reader.next(line));
 }
 
 }  // namespace

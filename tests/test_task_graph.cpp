@@ -7,12 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "arch/presets.hpp"
-#include "nn/model_zoo.hpp"
-#include "search/accelerator_search.hpp"
 #include "search/cma_es.hpp"
-#include "search/eval_pipeline.hpp"
-#include "search/speculation.hpp"
 
 namespace naas {
 namespace {
@@ -104,38 +99,6 @@ TEST(TaskGraph, PromiseGatesDependentsUntilFulfilled) {
     graph.run();
     EXPECT_TRUE(dependent_saw_done.load()) << threads;
   }
-}
-
-TEST(TaskGraph, SpeculativeTasksRunAfterNormalInSerialMode) {
-  core::TaskGraph graph(nullptr);
-  std::vector<int> order;
-  graph.submit([&] { order.push_back(2); }, {},
-               core::TaskGraph::Priority::kSpeculative);
-  graph.submit([&] { order.push_back(0); });
-  graph.submit([&] { order.push_back(1); });
-  graph.run();
-  // Normal work preempts speculation even though the speculative task was
-  // submitted first; all tasks still run before quiescence.
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 0);
-  EXPECT_EQ(order[1], 1);
-  EXPECT_EQ(order[2], 2);
-}
-
-TEST(TaskGraph, PromoteMovesSpeculativeTaskToNormalClass) {
-  core::TaskGraph graph(nullptr);
-  std::vector<int> order;
-  const auto spec = graph.submit([&] { order.push_back(0); }, {},
-                                 core::TaskGraph::Priority::kSpeculative);
-  graph.submit([&] { order.push_back(1); });
-  graph.promote(spec);
-  graph.run();
-  // Promoted before running: competes in the normal class and wins by id
-  // order (un-promoted it would run last; see the test above).
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 0);
-  // Promoting a completed task is a harmless no-op.
-  graph.promote(spec);
 }
 
 // ---------------------------------------------------------------- errors
@@ -250,132 +213,6 @@ TEST(CmaEsStepApi, TellPartialMatchesBarrierAskTell) {
     ASSERT_EQ(stepped.mean(), barrier.mean()) << gen;  // identical update
     EXPECT_EQ(stepped.sigma(), barrier.sigma()) << gen;
   }
-}
-
-TEST(CmaEsStepApi, SpeculationPredictorLeavesOptimizerStreamUntouched) {
-  const search::HwEncodingSpec hw = search::make_hw_spec(
-      arch::eyeriss_resources(), search::OrderEncoding::kImportance, true);
-  search::CmaEsOptions opts;
-  opts.dim = hw.genome_size();
-  opts.population = 6;
-  opts.seed = 7;
-  search::CmaEs a(opts);
-  search::CmaEs b(opts);
-
-  // Predict from `a` only — repeatedly. The predictor reads the
-  // distribution, never a generator, so `a`'s primary stream must stay in
-  // lockstep with the untouched twin.
-  const auto first = search::predict_decode_buckets(a, hw);
-  ASSERT_FALSE(first.empty());
-  for (int i = 0; i < 5; ++i) {
-    const auto again = search::predict_decode_buckets(a, hw);
-    ASSERT_EQ(again.size(), first.size()) << i;  // pure function
-    for (std::size_t k = 0; k < first.size(); ++k) {
-      EXPECT_EQ(search::arch_fingerprint(again[k].config),
-                search::arch_fingerprint(first[k].config));
-      EXPECT_EQ(again[k].mass, first[k].mass);
-    }
-  }
-  // Candidates come out in non-increasing joint-mass order, inside the
-  // resource envelope, and fingerprint-distinct.
-  for (std::size_t k = 0; k < first.size(); ++k) {
-    EXPECT_GT(first[k].mass, 0.0);
-    EXPECT_LE(first[k].mass, 1.0);
-    if (k > 0) EXPECT_GE(first[k - 1].mass, first[k].mass);
-    EXPECT_TRUE(hw.resources.allows(first[k].config));
-    for (std::size_t j = 0; j < k; ++j)
-      EXPECT_NE(search::arch_fingerprint(first[j].config),
-                search::arch_fingerprint(first[k].config));
-  }
-
-  EXPECT_EQ(a.ask(), b.ask());
-}
-
-// --------------------------------------------- speculation regression
-
-search::NaasOptions tiny_naas(int threads, bool speculate) {
-  search::NaasOptions opts;
-  opts.resources = arch::eyeriss_resources();
-  opts.population = 6;
-  opts.iterations = 3;
-  opts.seed = 5;
-  opts.mapping.population = 6;
-  opts.mapping.iterations = 3;
-  opts.num_threads = threads;
-  opts.speculate = speculate;
-  return opts;
-}
-
-TEST(Speculation, MissesNeverMutateVisibleResults) {
-  // The regression the hit-only design guarantees: speculative evaluation
-  // (which, on this encoding, predicts mostly configs the real search
-  // never visits) must not change ANY visible result or real work meter —
-  // at 1 thread and at 4.
-  const cost::CostModel model;
-  const std::vector<nn::Network> benchmarks{nn::make_network("cifarnet")};
-
-  const auto off = search::run_naas(model, tiny_naas(1, false), benchmarks);
-  for (int threads : {1, 4}) {
-    const auto on =
-        search::run_naas(model, tiny_naas(threads, true), benchmarks);
-    EXPECT_EQ(on.best_geomean_edp, off.best_geomean_edp) << threads;
-    EXPECT_EQ(search::arch_fingerprint(on.best_arch),
-              search::arch_fingerprint(off.best_arch))
-        << threads;
-    EXPECT_EQ(on.cost_evaluations, off.cost_evaluations) << threads;
-    EXPECT_EQ(on.mapping_searches, off.mapping_searches) << threads;
-    EXPECT_EQ(on.generations_batched, off.generations_batched) << threads;
-    ASSERT_EQ(on.population_best_edp.size(), off.population_best_edp.size());
-    for (std::size_t i = 0; i < on.population_best_edp.size(); ++i) {
-      EXPECT_EQ(on.population_best_edp[i], off.population_best_edp[i]);
-      EXPECT_EQ(on.population_mean_edp[i], off.population_mean_edp[i]);
-    }
-    ASSERT_EQ(on.best_networks.size(), off.best_networks.size());
-    for (std::size_t i = 0; i < on.best_networks.size(); ++i) {
-      EXPECT_EQ(on.best_networks[i].edp, off.best_networks[i].edp);
-      EXPECT_EQ(on.best_networks[i].latency_cycles,
-                off.best_networks[i].latency_cycles);
-      EXPECT_EQ(on.best_networks[i].energy_nj,
-                off.best_networks[i].energy_nj);
-    }
-    // Speculation itself ran (or was gated off after the probe rounds) —
-    // either way the off-run has no speculative activity at all.
-    EXPECT_EQ(off.speculative_hits + off.speculative_wasted, 0);
-  }
-}
-
-TEST(Speculation, PipelinePromotionAndClaimAccounting) {
-  // Speculative chain claimed by a later real touch: meters transfer once,
-  // hit counted once, and the entry is byte-identical to a real search.
-  const cost::CostModel model;
-  search::MappingSearchOptions mopts;
-  mopts.population = 6;
-  mopts.iterations = 2;
-  const auto arch = arch::nvdla_256_arch();
-  const nn::Workload layer = nn::make_conv("c", 32, 64, 3, 1, 28);
-
-  search::ArchEvaluator spec_ev(model, mopts);
-  {
-    search::EvalPipeline pipeline(spec_ev);
-    EXPECT_TRUE(pipeline.request(arch, layer, /*speculative=*/true)
-                    .has_value());
-    pipeline.run();
-  }
-  EXPECT_EQ(spec_ev.mapping_searches(), 0);  // unclaimed: not real work yet
-  EXPECT_EQ(spec_ev.speculative_wasted(), 1);
-  EXPECT_EQ(spec_ev.speculative_hits(), 0);
-
-  const auto& claimed = spec_ev.best_mapping(arch, layer);  // real touch
-  EXPECT_EQ(spec_ev.mapping_searches(), 1);
-  EXPECT_EQ(spec_ev.speculative_wasted(), 0);
-  EXPECT_EQ(spec_ev.speculative_hits(), 1);
-
-  search::ArchEvaluator real_ev(model, mopts);
-  const auto& real = real_ev.best_mapping(arch, layer);
-  EXPECT_EQ(claimed.best_edp, real.best_edp);
-  EXPECT_EQ(claimed.evaluations, real.evaluations);
-  EXPECT_EQ(claimed.report.edp, real.report.edp);
-  EXPECT_EQ(spec_ev.cost_evaluations(), real_ev.cost_evaluations());
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "nn/model_zoo.hpp"
 #include "serve/service.hpp"
 #include "test_seed.hpp"
+#include "test_temp.hpp"
 
 namespace naas::cost {
 namespace {
@@ -321,7 +322,7 @@ TEST(TransformerCostBatch, LegalityReasonsMatchMappingCheck) {
 
 TEST(TransformerWarmStart, BertEncoderAnswersBitIdenticalWithZeroSearches) {
   const std::string store =
-      ::testing::TempDir() + "naas_transformer_warm.bin";
+      test::unique_temp_path("naas_transformer_warm.bin");
   std::remove(store.c_str());
   serve::ServeOptions opts;
   opts.mapping.population = 6;
