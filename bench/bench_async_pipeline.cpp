@@ -6,7 +6,7 @@
 // interleaved graph (4 threads) produces exactly the per-candidate
 // sequential engine's EDPs and work meters.
 // The pool-idle-fraction comparison is the perf story: a barrier between
-// candidates parks every worker on the slowest layer chain's tail, the
+// candidates parks every worker on the slowest layer search's tail, the
 // interleaved graph keeps them fed. (On a 1-core CI box both fractions
 // collapse toward the same value; the assert is the *no-worse* direction,
 // the reduction shows on multi-core hosts.)

@@ -32,9 +32,10 @@
 //   --threads <n>         evaluation threads (0 = hardware default)
 //   --refresh-every <n>   store refresh every n batches (default 1;
 //                         0 = only at exit / on explicit "refresh")
-//   --map-population <n>  mapping-search budget (default 10). Part of the
-//   --map-iterations <n>  cache key: share a store only between services
-//   --seed <s>            with identical budgets (default 6 iters, seed 1)
+//   --map-population <n>  mapping-search budget (default 10, at least 2).
+//   --map-iterations <n>  Part of the cache key: share a store only between
+//   --seed <s>            services with identical budgets (default 6
+//                         iterations, at least 1; seed 1)
 //   --listen [host:]port  serve over TCP instead of stdin (port 0 picks an
 //                         ephemeral port, reported on stderr)
 //   --max-connections <n> TCP: concurrent connection cap (default 256)
@@ -59,9 +60,11 @@
 
 #include <csignal>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -92,6 +95,18 @@ int usage() {
       "With --listen, the same line protocol over TCP (pipelined,\n"
       "deadline- and overload-aware). See docs/serving.md.\n");
   return 2;
+}
+
+/// Parses all of `text` as a base-10 int no smaller than `min`.
+bool parse_int_at_least(const char* text, int min, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < min ||
+      v > std::numeric_limits<int>::max())
+    return false;
+  *out = static_cast<int>(v);
+  return true;
 }
 
 bool all_whitespace(const std::string& line) {
@@ -170,9 +185,16 @@ int main(int argc, char** argv) {
     } else if (a == "--refresh-every" && has_value) {
       refresh_every = std::atoll(argv[++i]);
     } else if (a == "--map-population" && has_value) {
-      options.mapping.population = std::atoi(argv[++i]);
+      // CMA-ES needs two candidates per generation to select from.
+      if (!parse_int_at_least(argv[++i], 2, &options.mapping.population)) {
+        std::fprintf(stderr, "bad --map-population: need an integer >= 2\n");
+        return usage();
+      }
     } else if (a == "--map-iterations" && has_value) {
-      options.mapping.iterations = std::atoi(argv[++i]);
+      if (!parse_int_at_least(argv[++i], 1, &options.mapping.iterations)) {
+        std::fprintf(stderr, "bad --map-iterations: need an integer >= 1\n");
+        return usage();
+      }
     } else if (a == "--seed" && has_value) {
       options.mapping.seed =
           std::strtoull(argv[++i], nullptr, 10);

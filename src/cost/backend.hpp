@@ -98,8 +98,8 @@ struct BatchColumns {
 /// fuzzes and CI asserts.
 ///
 /// Implementations are stateless singletons; all methods are const and
-/// thread-safe (concurrent calls on disjoint column sets are the search
-/// fan-out's sharding primitive).
+/// thread-safe (concurrent mapping searches call them on disjoint column
+/// sets).
 class Backend {
  public:
   virtual ~Backend() = default;

@@ -112,8 +112,8 @@ class CostModel {
   /// `reports[i]` for `mappings[i]`. Requires equally sized spans. Illegal
   /// candidates short-circuit in the legality pass (with the same reasons
   /// mapping::check reports) and never enter the struct-of-arrays pass.
-  /// Thread-safe: concurrent calls on disjoint report spans are the
-  /// sharding primitive of search_mapping.
+  /// Thread-safe: concurrent mapping searches call it on disjoint report
+  /// spans.
   void evaluate_batch(const LayerContext& ctx,
                       std::span<const mapping::Mapping> mappings,
                       std::span<CostReport> reports) const;

@@ -87,11 +87,21 @@ MappingSearchOptions ArchEvaluator::layer_options(
   return opts;
 }
 
-void ArchEvaluator::record_publish(const MappingSearchResult& entry) {
-  cost_evaluations_.fetch_add(entry.evaluations);
-  mapping_searches_.fetch_add(1);
-  generations_batched_.fetch_add(entry.generations_batched);
-  candidates_batch_evaluated_.fetch_add(entry.candidates_batch_evaluated);
+const MappingSearchResult& ArchEvaluator::publish(
+    std::uint64_t key, MappingSearchResult result) {
+  bool inserted = false;
+  const MappingSearchResult& entry =
+      cache_.publish(key, std::move(result), &inserted);
+  if (inserted) {
+    // Count only the published search: if another thread computed the same
+    // key concurrently, one duplicate is discarded and the statistics stay
+    // identical to the serial run.
+    cost_evaluations_.fetch_add(entry.evaluations);
+    mapping_searches_.fetch_add(1);
+    generations_batched_.fetch_add(entry.generations_batched);
+    candidates_batch_evaluated_.fetch_add(entry.candidates_batch_evaluated);
+  }
+  return entry;
 }
 
 void ArchEvaluator::absorb_scheduler_stats(
@@ -118,24 +128,8 @@ const MappingSearchResult& ArchEvaluator::best_mapping(
     const arch::ArchConfig& arch, const nn::Workload& layer) {
   const std::uint64_t key = cache_key(arch, layer);
   if (const MappingSearchResult* hit = cache_.find(key)) return *hit;
-
-  core::TaskGraph graph(pool_);
-  MappingSearchResult res;
-  submit_mapping_search(graph, model_, arch, layer, layer_options(layer),
-                        &res);
-  graph.run();
-  absorb_scheduler_stats(graph.stats());
-
-  bool inserted = false;
-  const MappingSearchResult& entry = cache_.publish(key, std::move(res),
-                                                    &inserted);
-  if (inserted) {
-    // Count only the published search: if another thread computed the same
-    // key concurrently, one duplicate is discarded and the statistics stay
-    // identical to the serial run.
-    record_publish(entry);
-  }
-  return entry;
+  return publish(key,
+                 search_mapping(model_, arch, layer, layer_options(layer)));
 }
 
 cost::NetworkCost ArchEvaluator::assemble_network(const arch::ArchConfig& arch,
@@ -173,8 +167,8 @@ double ArchEvaluator::assembled_geomean(
 cost::NetworkCost ArchEvaluator::evaluate(const arch::ArchConfig& arch,
                                           const nn::Network& net) {
   {
-    // Fill phase: one chain per unique layer shape not yet resident, all
-    // interleaving on one graph. Skipped entirely on a fully warm cache.
+    // Fill phase: one search task per unique layer shape not yet resident,
+    // all on one graph. Skipped entirely on a fully warm cache.
     EvalPipeline pipeline(*this);
     std::vector<core::TaskGraph::TaskId> deps;
     pipeline.request_network(arch, net, &deps);
@@ -186,7 +180,7 @@ cost::NetworkCost ArchEvaluator::evaluate(const arch::ArchConfig& arch,
 double ArchEvaluator::geomean_edp(const arch::ArchConfig& arch,
                                   const std::vector<nn::Network>& benchmarks) {
   // The one-candidate case of evaluate_population: every benchmark's layer
-  // chains fill on one graph (no per-network quiesce barrier).
+  // searches fill on one graph (no per-network quiesce barrier).
   return evaluate_population(std::span<const arch::ArchConfig>(&arch, 1),
                              benchmarks)
       .front();
@@ -198,10 +192,11 @@ std::vector<double> ArchEvaluator::evaluate_population(
   std::vector<double> edps(archs.size(),
                            std::numeric_limits<double>::infinity());
   if (archs.empty()) return edps;
-  // One graph: every candidate's unique (arch, layer) chains — deduplicated
-  // across the whole population — plus a per-candidate assembly task that
-  // becomes ready the moment exactly its own layers are resident. A slow
-  // layer of candidate 3 no longer stalls the scoring of candidate 7.
+  // One graph: every candidate's unique (arch, layer) searches —
+  // deduplicated across the whole population — plus a per-candidate
+  // assembly task that becomes ready the moment exactly its own layers are
+  // resident. A slow layer of candidate 3 no longer stalls the scoring of
+  // candidate 7.
   EvalPipeline pipeline(*this);
   for (std::size_t i = 0; i < archs.size(); ++i) {
     const auto deps = pipeline.request_benchmarks(archs[i], benchmarks);
@@ -397,7 +392,7 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
   };
 
   // Samples a generation, submits one assembly task per admitted genome
-  // (gated on exactly its layer chains), and reports infeasible genomes
+  // (gated on exactly its layer searches), and reports infeasible genomes
   // immediately. Surrogate-deferred genomes resolve when the admitted
   // results are in. Called with outer.mutex held.
   start_generation = [&] {
@@ -446,7 +441,7 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
       graph.submit(
           [&outer, &evaluator, &benchmarks, &report_admitted, k] {
             // Pure assembly: this task is gated on exactly its layer
-            // chains, so every key is resident — no pipeline needed.
+            // searches, so every key is resident — no pipeline needed.
             report_admitted(
                 k, evaluator.assembled_geomean(outer.configs[k], benchmarks));
           },

@@ -29,12 +29,11 @@ class EvalPipeline;
 /// candidates, and baseline re-evaluations all hit it.
 ///
 /// Evaluation runs on the asynchronous task-graph pipeline (EvalPipeline +
-/// core::TaskGraph): every (arch, layer) work unit becomes a chain of
-/// continuation-scheduled CMA-generation task batches, deduplicated by
-/// cache key, and all chains across all candidates and networks interleave
-/// on one graph — no per-candidate, per-layer, or per-generation joins.
-/// Results, cache contents, and every meter are bit-identical for any
-/// thread count (and to the old barrier engine).
+/// core::TaskGraph): every (arch, layer) work unit becomes one
+/// search_mapping task, deduplicated by cache key, and all units across all
+/// candidates and networks share one graph — no per-candidate or per-layer
+/// joins. Results, cache contents, and every meter are bit-identical for
+/// any thread count (and to evaluating the candidates one by one).
 ///
 /// Thread safety: all evaluation entry points may be called concurrently
 /// (the cache is mutex-striped and the statistics are atomic), though the
@@ -61,24 +60,25 @@ class ArchEvaluator {
                      const std::vector<nn::Network>& benchmarks);
 
   /// Batched population scoring: geomean EDP for every candidate, returned
-  /// by candidate index. One task graph carries every candidate's unique
-  /// (arch, layer) chain plus a per-candidate assembly task, so slow
-  /// layers of one candidate overlap everything else — results (including
-  /// all cache contents and statistics) match evaluating the candidates
-  /// one by one.
+  /// by candidate index. One task graph carries one search task per unique
+  /// uncached (arch, layer) unit plus a per-candidate assembly task, so
+  /// slow layers of one candidate overlap everything else — results
+  /// (including all cache contents and statistics) match evaluating the
+  /// candidates one by one.
   std::vector<double> evaluate_population(
       std::span<const arch::ArchConfig> archs,
       const std::vector<nn::Network>& benchmarks);
 
-  /// Best searched mapping for one layer (cached).
+  /// Best searched mapping for one layer (cached). A miss runs
+  /// search_mapping on the calling thread; no task graph is built.
   const MappingSearchResult& best_mapping(const arch::ArchConfig& arch,
                                           const nn::Workload& layer);
 
   /// Pure assembly of a network cost from resident cache entries — zero
   /// new evaluations and no pipeline construction. This is the
   /// assembly-phase API the per-candidate graph tasks use once their
-  /// layer chains have published; a missing key (unreachable when the
-  /// caller gated on its chains) falls back to a synchronous search.
+  /// layer searches have published; a missing key (unreachable when the
+  /// caller gated on its searches) falls back to a synchronous search.
   cost::NetworkCost assemble_network(const arch::ArchConfig& arch,
                                      const nn::Network& net);
 
@@ -100,10 +100,10 @@ class ArchEvaluator {
     return candidates_batch_evaluated_.load();
   }
 
-  /// Scheduler work meter: every task-graph task run under this evaluator
-  /// (chain setups, generation shards, continuations, publishes, candidate
-  /// finalizes). Deterministic for any thread count, since a chain's task
-  /// breakdown depends only on its budget.
+  /// Scheduler work meter: every task-graph task run under this evaluator's
+  /// pipelines (one per pipelined mapping search, plus the callers' own
+  /// tasks such as candidate finalizes). Deterministic for any thread
+  /// count. best_mapping misses run inline and meter none.
   long long tasks_executed() const;
 
   /// Surrogate-pruning meters: lower-bound consultations the outer search
@@ -188,13 +188,15 @@ class ArchEvaluator {
   /// budget with a layer-dependent seed (decorrelates searches across
   /// layers while staying independent of evaluation order). The single
   /// source of truth for every search path — best_mapping and the
-  /// pipeline's chains must seed identically or cache contents would
+  /// pipeline's tasks must seed identically or cache contents would
   /// depend on which path filled an entry.
   MappingSearchOptions layer_options(const nn::Workload& layer) const;
 
-  // --- EvalPipeline accounting hooks -----------------------------------
-  /// Counts a freshly published search into the work meters.
-  void record_publish(const MappingSearchResult& entry);
+  /// Publishes a finished search under `key` and, when it is the first
+  /// result for the key, counts it into the work meters. Returns the
+  /// resident entry. Shared by best_mapping and the pipeline's tasks.
+  const MappingSearchResult& publish(std::uint64_t key,
+                                     MappingSearchResult result);
   /// Folds one pipeline run's scheduler stats into the aggregate.
   void absorb_scheduler_stats(const core::TaskGraph::Stats& delta);
 
@@ -320,7 +322,7 @@ void flush_to_store(const ArchEvaluator& evaluator, const std::string& path,
 /// distribution, and return the fittest design.
 ///
 /// The whole evolution runs as ONE task graph: every candidate's layer
-/// chains interleave freely, each candidate reports its fitness through
+/// searches interleave freely, each candidate reports its fitness through
 /// CmaEs::tell_partial as it finishes, and the report that completes a
 /// generation *schedules* the next one (no join anywhere). The returned
 /// result is bit-identical for any `options.num_threads`.

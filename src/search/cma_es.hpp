@@ -56,20 +56,13 @@ class CmaEs {
   const std::vector<std::vector<double>>& begin_generation(
       const std::function<bool(const std::vector<double>&)>& valid = nullptr);
 
-  /// The generation retained by begin_generation(). Valid (and immutable)
-  /// until the tell_partial() that completes it returns.
-  const std::vector<std::vector<double>>& pending_population() const {
-    return pending_population_;
-  }
-
   /// True while a begun generation still has unreported slots.
   bool generation_open() const { return pending_remaining_ > 0; }
 
   /// Reports fitness for pending candidate `index` (each slot exactly
   /// once). Returns true when this report completed the generation and the
   /// distribution update was applied. Not thread-safe: serialize calls
-  /// (the pipeline's continuation tasks do so structurally, the outer
-  /// search loop with a mutex).
+  /// (run_naas does so with a mutex).
   bool tell_partial(std::size_t index, double fitness);
 
   /// Current distribution mean.

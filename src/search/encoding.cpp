@@ -32,13 +32,27 @@ mapping::LoopOrder with_batch_outer(const std::array<nn::Dim, 6>& inner) {
   return order;
 }
 
+/// Indices 0..5 by descending importance, ties in index order: the result
+/// of std::stable_sort, from an in-place insertion sort. stable_sort
+/// heap-allocates a merge buffer, and this runs five times per decoded
+/// mapping.
+std::array<int, 6> rank_descending(const std::array<double, 6>& imp) {
+  std::array<int, 6> idx{0, 1, 2, 3, 4, 5};
+  for (std::size_t i = 1; i < idx.size(); ++i) {
+    const int v = idx[i];
+    const double key = imp[static_cast<std::size_t>(v)];
+    std::size_t j = i;
+    for (; j > 0 && key > imp[static_cast<std::size_t>(idx[j - 1])]; --j)
+      idx[j] = idx[j - 1];
+    idx[j] = v;
+  }
+  return idx;
+}
+
 }  // namespace
 
 mapping::LoopOrder order_from_importance(const std::array<double, 6>& imp) {
-  std::array<int, 6> idx{0, 1, 2, 3, 4, 5};
-  std::stable_sort(idx.begin(), idx.end(), [&](int a, int b) {
-    return imp[static_cast<std::size_t>(a)] > imp[static_cast<std::size_t>(b)];
-  });
+  const std::array<int, 6> idx = rank_descending(imp);
   std::array<nn::Dim, 6> sorted{};
   for (std::size_t i = 0; i < 6; ++i)
     sorted[i] = searchable_dims()[static_cast<std::size_t>(idx[i])];
@@ -65,10 +79,7 @@ mapping::LoopOrder order_from_index(double gene) {
 
 std::vector<nn::Dim> parallel_from_importance(const std::array<double, 6>& imp,
                                               int k) {
-  std::array<int, 6> idx{0, 1, 2, 3, 4, 5};
-  std::stable_sort(idx.begin(), idx.end(), [&](int a, int b) {
-    return imp[static_cast<std::size_t>(a)] > imp[static_cast<std::size_t>(b)];
-  });
+  const std::array<int, 6> idx = rank_descending(imp);
   std::vector<nn::Dim> out;
   for (int i = 0; i < std::clamp(k, 1, 6); ++i)
     out.push_back(searchable_dims()[static_cast<std::size_t>(

@@ -1,8 +1,5 @@
 #include "search/eval_pipeline.hpp"
 
-#include <memory>
-#include <utility>
-
 #include "search/accelerator_search.hpp"
 
 namespace naas::search {
@@ -22,21 +19,10 @@ std::optional<core::TaskGraph::TaskId> EvalPipeline::request(
   // earlier pipeline): nothing to run, nothing to wait on.
   if (evaluator_.cache_.find(key) != nullptr) return std::nullopt;
 
-  // The slot is shared by the chain (which fills it) and the publish task
-  // (which moves it into the cache); the publish closure keeps it alive
-  // until the graph has run it.
-  auto slot = std::make_shared<MappingSearchResult>();
-  const core::TaskGraph::TaskId done =
-      submit_mapping_search(graph_, evaluator_.model_, arch, layer,
-                            evaluator_.layer_options(layer), slot.get());
-  it->second = graph_.submit(
-      [this, key, slot] {
-        bool inserted = false;
-        const MappingSearchResult& entry =
-            evaluator_.cache_.publish(key, std::move(*slot), &inserted);
-        if (inserted) evaluator_.record_publish(entry);
-      },
-      {done});
+  it->second = graph_.submit([this, key, arch, layer] {
+    evaluator_.publish(key, search_mapping(evaluator_.model_, arch, layer,
+                                           evaluator_.layer_options(layer)));
+  });
   return it->second;
 }
 

@@ -13,18 +13,16 @@ namespace naas::search {
 
 class ArchEvaluator;
 
-/// One task-graph run spanning any number of deduplicated mapping-search
-/// chains plus caller-defined tasks (per-candidate finalizes, outer-loop
-/// generation continuations). This is the asynchronous replacement for the
-/// old nested fork-joins: every (arch, layer) work unit across every
-/// candidate, network, and generation becomes one chain on one graph, so
-/// shards of a slow layer's CMA generations interleave freely with every
-/// other search while stragglers drain.
+/// One task-graph run spanning any number of deduplicated mapping searches
+/// plus caller-defined tasks (per-candidate finalizes, outer-loop generation
+/// continuations). Every (arch, layer) work unit across every candidate,
+/// network, and generation becomes one task that runs search_mapping and
+/// publishes the result into the EvalCache, so a slow layer's search
+/// overlaps every other search and no caller joins on a whole population.
 ///
-/// Dedup: chains are keyed by the evaluator's cache key; the first request
-/// submits the chain, later requests just return the id of its publish
-/// task (the task that moves the finished result into the EvalCache and
-/// meters it), so dependents can sequence after residency.
+/// Dedup: work units are keyed by the evaluator's cache key; the first
+/// request submits the unit's task, later requests just return its id, so
+/// dependents can sequence after residency.
 ///
 /// Thread safety: request() may be called from graph task bodies (that is
 /// how the outer search schedules generation g+1's work from generation
@@ -33,7 +31,7 @@ class ArchEvaluator;
 /// user satisfies this structurally: seed requests happen before run(),
 /// and in-flight requests only ever come from the one generation
 /// continuation that is active (serialized by the outer search's lock).
-/// No task body touches the chain map — publish tasks only publish into
+/// No task body touches the request map — search tasks only publish into
 /// the (mutex-striped) cache and bump atomic meters — so the map needs no
 /// lock of its own.
 class EvalPipeline {
@@ -47,14 +45,14 @@ class EvalPipeline {
   /// Ensures the mapping-search result for (arch, layer) will be resident
   /// in the evaluator's cache once the returned task completes. Returns
   /// nothing when the result is already resident (no task to wait on);
-  /// otherwise the id of the chain's cache-publish task.
+  /// otherwise the id of the unit's search-and-publish task.
   std::optional<core::TaskGraph::TaskId> request(const arch::ArchConfig& arch,
                                                  const nn::Workload& layer);
 
   /// request() over every unique layer shape of `net`, appending the ids
-  /// of chains not yet resident to `deps` (when given). The shared
+  /// of units not yet resident to `deps` (when given). The shared
   /// traversal for all callers, so a candidate's dependency set can never
-  /// drift out of sync with the chains actually requested for it.
+  /// drift out of sync with the searches actually requested for it.
   void request_network(const arch::ArchConfig& arch, const nn::Network& net,
                        std::vector<core::TaskGraph::TaskId>* deps = nullptr);
 
@@ -70,7 +68,7 @@ class EvalPipeline {
  private:
   ArchEvaluator& evaluator_;
   core::TaskGraph graph_;
-  /// Publish-task id per requested key (one deduplicated (arch, layer)
+  /// Search-task id per requested key (one deduplicated (arch, layer)
   /// work unit each); 0 when the result was already resident at request
   /// time (nothing to depend on).
   std::unordered_map<std::uint64_t, core::TaskGraph::TaskId> published_;

@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "arch/accelerator.hpp"
-#include "core/task_graph.hpp"
 #include "core/thread_pool.hpp"
 #include "cost/cost_model.hpp"
 #include "mapping/mapping.hpp"
@@ -39,33 +38,19 @@ struct MappingSearchResult {
   /// (including the canonical dataflow seeds).
   long long generations_batched = 0;
   long long candidates_batch_evaluated = 0;
-  /// Scheduler work meter (not persisted either): task-graph tasks this
-  /// search's chain executed (setup + per-generation shards and
-  /// continuations). Deterministic for any thread count — the chain's task
-  /// breakdown depends only on the budget, never on scheduling.
-  long long tasks_executed = 0;
 };
 
-/// Submits the whole CMA-driven mapping search for (arch, layer) onto
-/// `graph` as a chain of dependent tasks: a setup task (layer context +
-/// canonical seeds + generation 0 sampling), then per generation a batch of
-/// fixed-size shard evaluation tasks whose continuation folds fitness in
-/// candidate order, steps the optimizer (CmaEs::tell_partial), and
-/// *schedules* the next generation — no task ever joins on another, so any
-/// number of chains interleave freely on one graph.
-/// `arch`/`layer`/`options` are copied; `out` must stay valid until the
-/// graph quiesces. Returns the id of a promise that completes (with `out`
-/// filled) when the chain finishes — the id dependents gate on.
-core::TaskGraph::TaskId submit_mapping_search(
-    core::TaskGraph& graph, const cost::CostModel& model,
-    const arch::ArchConfig& arch, const nn::Workload& layer,
-    const MappingSearchOptions& options, MappingSearchResult* out);
-
 /// Searches the mapping space of `layer` on `arch`, returning the best
-/// (lowest-EDP) mapping found. Deterministic for a fixed seed and
-/// bit-identical for any thread count: this is the one-chain convenience
-/// wrapper over submit_mapping_search (one TaskGraph on `pool`, run to
-/// quiescence).
+/// (lowest-EDP) mapping found. One plain loop on the calling thread: build
+/// the layer context, score the canonical seeds, then per CMA generation
+/// sample, decode every candidate, score the whole generation with one
+/// CostModel::evaluate_batch call, and fold fitness in candidate order.
+/// Deterministic for a fixed seed. Callers parallelize across searches
+/// (EvalPipeline runs each as one task), never inside one.
+///
+/// `pool` is unused. It stays only because the frozen benchmark source
+/// (naasbench/src/probes.cpp) passes one; drop it with the next benchmark
+/// change.
 MappingSearchResult search_mapping(const cost::CostModel& model,
                                    const arch::ArchConfig& arch,
                                    const nn::Workload& layer,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <utility>
 
 #include "arch/presets.hpp"
 #include "nn/model_zoo.hpp"
@@ -59,6 +61,42 @@ TEST(ArchEvaluatorTest, GeomeanAggregatesNetworks) {
   const double b = ev.evaluate(arch, nets[1]).edp;
   EXPECT_NEAR(ev.geomean_edp(arch, nets), std::sqrt(a * b),
               1e-6 * std::sqrt(a * b));
+}
+
+TEST(ArchEvaluatorTest, OneTaskPerSearchPlusOnePerCandidate) {
+  // The pipeline's task structure, at any thread count: scoring K
+  // candidates that need U distinct uncached (arch, layer) searches runs
+  // exactly U search tasks plus K assembly tasks, and a best_mapping miss
+  // searches inline without building a graph.
+  const cost::CostModel model;
+  MappingSearchOptions mopts;
+  mopts.population = 4;
+  mopts.iterations = 2;
+  const std::vector<nn::Network> nets{nn::make_cifar_net(),
+                                      nn::make_squeezenet()};
+  // The repeated candidate shares every unit with the first.
+  const std::vector<arch::ArchConfig> archs{
+      arch::nvdla_256_arch(), arch::eyeriss_arch(), arch::nvdla_256_arch()};
+  const nn::Workload warm = nets[0].unique_layers().front().first;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> units;
+  for (const auto& a : archs)
+    for (const auto& net : nets)
+      for (const auto& [layer, count] : net.unique_layers())
+        units.emplace(arch_fingerprint(a), nn::LayerShapeHash{}(layer));
+  const auto uncached = static_cast<long long>(units.size()) - 1;  // `warm`
+  const auto k = static_cast<long long>(archs.size());
+
+  for (int threads : {1, 4}) {
+    core::ThreadPool pool(threads);
+    ArchEvaluator ev(model, mopts, &pool);
+    ev.best_mapping(archs[0], warm);
+    EXPECT_EQ(ev.mapping_searches(), 1) << threads;
+    EXPECT_EQ(ev.tasks_executed(), 0) << threads;
+
+    ev.evaluate_population(archs, nets);
+    EXPECT_EQ(ev.mapping_searches(), 1 + uncached) << threads;
+    EXPECT_EQ(ev.tasks_executed(), uncached + k) << threads;
+  }
 }
 
 TEST(NaasSearch, FindsDesignWithinEnvelope) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/rng.hpp"
@@ -78,6 +79,37 @@ TEST(Encoding, ParallelImportanceDistinct) {
       ASSERT_EQ(static_cast<int>(dims.size()), k);
       std::set<nn::Dim> uniq(dims.begin(), dims.end());
       EXPECT_EQ(static_cast<int>(uniq.size()), k);
+    }
+  }
+}
+
+TEST(Encoding, ImportanceDecodeMatchesStableSort) {
+  // Both importance decoders rank dims by descending importance with ties
+  // in index order: exactly std::stable_sort's result. Every other trial
+  // draws from three levels, so most vectors carry ties.
+  core::Rng rng(29);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::array<double, 6> imp{};
+    for (auto& v : imp)
+      v = trial % 2 == 0 ? rng.uniform() : 0.25 * rng.uniform_int(0, 2);
+    std::array<int, 6> idx{0, 1, 2, 3, 4, 5};
+    std::stable_sort(idx.begin(), idx.end(), [&](int a, int b) {
+      return imp[static_cast<std::size_t>(a)] >
+             imp[static_cast<std::size_t>(b)];
+    });
+    std::array<nn::Dim, 6> expected{};
+    for (std::size_t i = 0; i < 6; ++i)
+      expected[i] = searchable_dims()[static_cast<std::size_t>(idx[i])];
+
+    const auto order = order_from_importance(imp);
+    EXPECT_EQ(order[0], nn::Dim::kN);
+    for (std::size_t i = 0; i < 6; ++i)
+      EXPECT_EQ(order[i + 1], expected[i]) << "trial " << trial;
+    for (int k = 1; k <= 6; ++k) {
+      const auto dims = parallel_from_importance(imp, k);
+      ASSERT_EQ(static_cast<int>(dims.size()), k);
+      for (std::size_t i = 0; i < dims.size(); ++i)
+        EXPECT_EQ(dims[i], expected[i]) << "trial " << trial << " k " << k;
     }
   }
 }

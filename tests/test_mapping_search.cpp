@@ -85,28 +85,6 @@ TEST(MappingSearch, DeterministicForSeed) {
   EXPECT_EQ(a.evaluations, b.evaluations);
 }
 
-TEST(MappingSearch, ShardedBatchesMatchSerialForAwkwardThreadCounts) {
-  // Regression: generation sharding must stay in range and bit-identical
-  // for pool sizes that do not divide the population (12 candidates over
-  // 8 threads once rounded a shard past the end of the batch).
-  const cost::CostModel model;
-  const auto arch = arch::nvdla_256_arch();
-  const nn::Workload layer = nn::make_conv("c", 32, 64, 3, 1, 28);
-  MappingSearchOptions opts = small_budget(3);
-  opts.population = 12;
-  const auto serial = search_mapping(model, arch, layer, opts);
-  for (int threads : {2, 5, 8, 13}) {
-    core::ThreadPool pool(threads);
-    const auto sharded = search_mapping(model, arch, layer, opts, &pool);
-    EXPECT_DOUBLE_EQ(sharded.best_edp, serial.best_edp) << threads;
-    EXPECT_EQ(sharded.evaluations, serial.evaluations) << threads;
-    EXPECT_EQ(sharded.report.edp, serial.report.edp) << threads;
-    EXPECT_EQ(sharded.candidates_batch_evaluated,
-              serial.candidates_batch_evaluated)
-        << threads;
-  }
-}
-
 TEST(MappingSearch, UnseededStillFindsLegalMapping) {
   const cost::CostModel model;
   const auto arch = arch::nvdla_256_arch();

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/client.hpp"
@@ -289,6 +290,29 @@ TEST(NaasServeProcess, MalformedFaultsSpecExitsLoudly) {
       if (line.find("bad --faults spec") != std::string::npos)
         saw_reason = true;
     EXPECT_TRUE(saw_reason) << bad;
+  }
+}
+
+TEST(NaasServeProcess, DegenerateMappingBudgetExitsLoudly) {
+  if (!binary_present()) GTEST_SKIP() << "naas_serve not in cwd";
+  // A mapping budget below one CMA generation of two candidates, or one
+  // that does not parse, must refuse to start (exit 2, the usage code)
+  // instead of aborting or serving searches that score no CMA candidate.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--map-population", "-3"}, {"--map-population", "0"},
+      {"--map-population", "1"},  {"--map-population", "ten"},
+      {"--map-population", "4x"}, {"--map-iterations", "0"},
+      {"--map-iterations", "-2"}, {"--map-iterations", ""}};
+  for (const auto& [flag, value] : bad) {
+    Child child;
+    ASSERT_TRUE(child.spawn({flag, value}));
+    child.close_in();
+    EXPECT_EQ(child.wait_exit(), 2) << flag << ' ' << value;
+    std::string line;
+    bool saw_reason = false;
+    while (child.read_stderr_line(&line, 2000))
+      if (line.find("bad " + flag) != std::string::npos) saw_reason = true;
+    EXPECT_TRUE(saw_reason) << flag << ' ' << value;
   }
 }
 

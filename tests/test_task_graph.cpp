@@ -86,8 +86,8 @@ TEST(TaskGraph, PromiseGatesDependentsUntilFulfilled) {
     std::atomic<bool> dependent_saw_done{false};
     const auto done = graph.make_promise();
     // The chain grows dynamically: the first task submits the second, the
-    // second fulfills the promise — exactly how a mapping-search chain
-    // exposes one id before its tail exists.
+    // second fulfills the promise — exactly how run_naas's evolution
+    // exposes one id before its last generation exists.
     graph.submit([&] {
       graph.submit([&] {
         chain_done.store(true);

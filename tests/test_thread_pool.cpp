@@ -128,26 +128,6 @@ search::NaasOptions small_naas_options(int num_threads) {
   return opts;
 }
 
-TEST(ParallelDeterminism, SearchMappingMatchesSerial) {
-  const cost::CostModel model;
-  const auto arch = arch::nvdla_256_arch();
-  const nn::Workload layer = nn::make_conv("c", 64, 128, 3, 1, 28);
-  search::MappingSearchOptions opts;
-  opts.population = 8;
-  opts.iterations = 5;
-  opts.seed = 3;
-
-  const auto serial = search::search_mapping(model, arch, layer, opts);
-  core::ThreadPool pool(4);
-  const auto parallel =
-      search::search_mapping(model, arch, layer, opts, &pool);
-
-  EXPECT_EQ(serial.best_edp, parallel.best_edp);  // bit-identical
-  EXPECT_EQ(serial.evaluations, parallel.evaluations);
-  EXPECT_EQ(serial.report.latency_cycles, parallel.report.latency_cycles);
-  EXPECT_EQ(serial.report.energy_nj, parallel.report.energy_nj);
-}
-
 TEST(ParallelDeterminism, RunNaasMatchesSerial) {
   const cost::CostModel model;
   const std::vector<nn::Network> benchmarks{small_test_network()};
