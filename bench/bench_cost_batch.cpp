@@ -7,7 +7,12 @@
 // batch size. Emits BENCH_cost_batch.json with the per-backend rates and
 // two bit-identity verdicts CI asserts: batch-vs-scalar-entry-point
 // ("batch_identical_to_scalar") and SIMD-vs-scalar-backend
-// ("simd_identical_to_scalar").
+// ("simd_identical_to_scalar"). The google-benchmark cases also time the
+// rest of one mapping search stage by stage (CmaEs::ask and tell at the
+// mapping genome's dimension, MapEncodingSpec::decode, and search_mapping
+// end to end on seeded units), so the per-call stage figures cited in
+// docs/performance.md are reproducible from
+// BENCH_bench_cost_batch_micro.json.
 
 #include "bench_common.hpp"
 
@@ -22,6 +27,9 @@
 #include "core/timer.hpp"
 #include "mapping/canonical.hpp"
 #include "mapping/legality.hpp"
+#include "search/cma_es.hpp"
+#include "search/encoding.hpp"
+#include "search/mapping_search.hpp"
 
 namespace {
 
@@ -362,6 +370,136 @@ void BM_EvaluateBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateBatch)->Arg(1)->Arg(8)->Arg(64)
     ->Unit(benchmark::kMicrosecond);
+
+/// Seeded (arch, layer) units for the mapping-search stage cases:
+/// NVDLA-256-envelope candidates decoded from uniform hardware genomes,
+/// crossed with the unique layers of resnet50, mobilenetv2 and squeezenet
+/// (the networks of naasbench's search_cnn workload).
+struct StageUnits {
+  std::vector<arch::ArchConfig> archs;
+  std::vector<nn::Workload> layers;
+};
+
+StageUnits stage_units(int num_archs) {
+  StageUnits u;
+  const search::HwEncodingSpec hw = search::make_hw_spec(
+      arch::nvdla_256_resources(), search::OrderEncoding::kImportance, true);
+  core::Rng rng(61);
+  while (static_cast<int>(u.archs.size()) < num_archs) {
+    std::vector<double> genome(static_cast<std::size_t>(hw.genome_size()));
+    for (double& g : genome) g = rng.uniform();
+    if (hw.valid(genome)) u.archs.push_back(hw.decode(genome));
+  }
+  for (const char* name : {"resnet50", "mobilenetv2", "squeezenet"})
+    for (const auto& [layer, count] : nn::make_network(name).unique_layers())
+      u.layers.push_back(layer);
+  return u;
+}
+
+/// A mapping-search optimizer mid-run: dim 30 (the mapping genome),
+/// population 8 (naasbench's mapping budget), three generations into a
+/// rotated quadratic, so its covariance is dense.
+search::CmaEs warmed_cma() {
+  search::CmaEsOptions opts;
+  opts.dim = search::MapEncodingSpec{}.genome_size();
+  opts.population = 8;
+  opts.seed = 7;
+  search::CmaEs cma(opts);
+  for (int gen = 0; gen < 3; ++gen) {
+    const auto pop = cma.ask();
+    std::vector<double> fit;
+    for (const auto& x : pop) {
+      double acc = 0.0;
+      for (std::size_t d = 0; d + 1 < x.size(); ++d) {
+        const double v = x[d] + 0.5 * x[d + 1] - 0.6;
+        acc += v * v;
+      }
+      fit.push_back(acc);
+    }
+    cma.tell(pop, fit);
+  }
+  return cma;
+}
+
+void BM_CmaEsAsk(benchmark::State& state) {
+  search::CmaEs cma = warmed_cma();
+  for (auto _ : state) {
+    auto pop = cma.ask();
+    benchmark::DoNotOptimize(pop.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 8);
+}
+BENCHMARK(BM_CmaEsAsk)->Unit(benchmark::kMicrosecond);
+
+void BM_CmaEsTell(benchmark::State& state) {
+  const search::CmaEs prepared = warmed_cma();
+  search::CmaEs cma = prepared;
+  const auto pop = cma.ask();
+  std::vector<double> fit;
+  for (std::size_t i = 0; i < pop.size(); ++i)
+    fit.push_back(static_cast<double>((i * 5) % pop.size()));
+  for (auto _ : state) {
+    // tell() moves the distribution, so every iteration restores the same
+    // state first; the ~15 KB copy is part of the time.
+    cma = prepared;
+    cma.tell(pop, fit);
+    benchmark::DoNotOptimize(cma.mean().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CmaEsTell)->Unit(benchmark::kMicrosecond);
+
+void BM_MapDecode(benchmark::State& state) {
+  // Each unit decodes one first generation of its own optimizer, so the
+  // genomes follow the distribution a search actually decodes.
+  const StageUnits units = stage_units(2);
+  const search::MapEncodingSpec spec;
+  std::vector<std::vector<std::vector<double>>> generations;
+  search::CmaEsOptions opts;
+  opts.dim = spec.genome_size();
+  opts.population = 8;
+  for (std::size_t i = 0; i < units.archs.size() * units.layers.size(); ++i) {
+    opts.seed = i + 1;
+    generations.push_back(search::CmaEs(opts).ask());
+  }
+  for (auto _ : state) {
+    std::size_t i = 0;
+    for (const arch::ArchConfig& arch : units.archs)
+      for (const nn::Workload& layer : units.layers)
+        for (const std::vector<double>& genome : generations[i++]) {
+          const mapping::Mapping m = spec.decode(genome, arch, layer);
+          benchmark::DoNotOptimize(m.dram.tile.data());
+        }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long long>(generations.size()) * 8);
+}
+BENCHMARK(BM_MapDecode)->Unit(benchmark::kMicrosecond);
+
+/// One search_mapping per unit of BM_MapDecode's set at naasbench's 8 x 4
+/// mapping budget: 4 asks, 32 decodes, 3 tells and 5 evaluate_batch calls
+/// (4 generations of 8 plus the 3 canonical seeds), plus the seeds' own
+/// construction and the layer context.
+void BM_SearchMapping(benchmark::State& state) {
+  const StageUnits units = stage_units(2);
+  const cost::CostModel model;
+  search::MappingSearchOptions opts;
+  opts.population = 8;
+  opts.iterations = 4;
+  for (auto _ : state) {
+    std::uint64_t seed = 1;
+    for (const arch::ArchConfig& arch : units.archs)
+      for (const nn::Workload& layer : units.layers) {
+        opts.seed = seed++;
+        const auto res = search::search_mapping(model, arch, layer, opts);
+        benchmark::DoNotOptimize(res.best_edp);
+      }
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<long long>(units.archs.size() * units.layers.size()));
+}
+BENCHMARK(BM_SearchMapping)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -21,14 +21,6 @@ bool ArchConfig::is_parallel(nn::Dim d) const {
   return false;
 }
 
-int ArchConfig::parallel_extent(nn::Dim d) const {
-  int extent = 1;
-  for (int axis = 0; axis < num_array_dims; ++axis)
-    if (parallel_dims[static_cast<std::size_t>(axis)] == d)
-      extent *= array_dims[static_cast<std::size_t>(axis)];
-  return extent;
-}
-
 bool ArchConfig::valid() const {
   if (num_array_dims < 1 || num_array_dims > kMaxArrayDims) return false;
   for (int axis = 0; axis < num_array_dims; ++axis)

@@ -44,7 +44,13 @@ struct ArchConfig {
   bool is_parallel(nn::Dim d) const;
 
   /// Array size assigned to dimension `d` (1 if not parallelized).
-  int parallel_extent(nn::Dim d) const;
+  int parallel_extent(nn::Dim d) const {
+    int extent = 1;
+    for (int axis = 0; axis < num_array_dims; ++axis)
+      if (parallel_dims[static_cast<std::size_t>(axis)] == d)
+        extent *= array_dims[static_cast<std::size_t>(axis)];
+    return extent;
+  }
 
   /// Structural validity: positive sizes, 1..3 dims, even array sizes
   /// permitted, distinct parallel dims among active axes, positive buffers

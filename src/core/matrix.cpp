@@ -1,5 +1,6 @@
 #include "core/matrix.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -32,31 +33,6 @@ double Matrix::operator()(int r, int c) const {
                static_cast<std::size_t>(c)];
 }
 
-std::vector<double> Matrix::matvec(const std::vector<double>& v) const {
-  assert(static_cast<int>(v.size()) == cols_);
-  std::vector<double> out(static_cast<std::size_t>(rows_), 0.0);
-  for (int r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (int c = 0; c < cols_; ++c) acc += (*this)(r, c) * v[static_cast<std::size_t>(c)];
-    out[static_cast<std::size_t>(r)] = acc;
-  }
-  return out;
-}
-
-void Matrix::add_outer(const std::vector<double>& u, double scale) {
-  assert(rows_ == cols_ && static_cast<int>(u.size()) == rows_);
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) {
-      (*this)(r, c) += scale * u[static_cast<std::size_t>(r)] *
-                       u[static_cast<std::size_t>(c)];
-    }
-  }
-}
-
-void Matrix::scale(double s) {
-  for (auto& x : data_) x *= s;
-}
-
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (int r = 0; r < rows_; ++r)
@@ -77,36 +53,78 @@ Matrix Matrix::multiply(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::cholesky() const {
-  assert(rows_ == cols_);
+namespace {
+
+/// One factorization pass with `jitter` added to the diagonal; false at
+/// the first non-positive pivot. Column by column: entry (i, j) starts from
+/// a(i, j) plus the jitter on the diagonal and plus 0.0 below it (which
+/// turns a -0.0 input into +0.0), subtracts l(i, k) * l(j, k) for
+/// k = 0, 1, ..., j - 1 in that order and, below the diagonal, divides by
+/// l(j, j). That is the textbook row-by-row algorithm's exact operation
+/// sequence for every entry, so the factor is bit-identical to it. The
+/// gain is latency: the entries of one column read only earlier columns,
+/// so four rows' dependency chains of j subtractions run side by side
+/// instead of one after another.
+bool factor_columns(const Matrix& a, Matrix& l, double jitter) {
+  const int n = a.rows();
+  for (int j = 0; j < n; ++j) {
+    const double* lj = l.row(j);
+    double pivot = a(j, j) + jitter;
+    for (int k = 0; k < j; ++k) pivot -= lj[k] * lj[k];
+    if (pivot <= 0.0) return false;
+    const double ljj = std::sqrt(pivot);
+    l(j, j) = ljj;
+    int i = j + 1;
+    for (; i + 4 <= n; i += 4) {
+      const double* l0 = l.row(i);
+      const double* l1 = l.row(i + 1);
+      const double* l2 = l.row(i + 2);
+      const double* l3 = l.row(i + 3);
+      double s0 = a(i, j) + 0.0;
+      double s1 = a(i + 1, j) + 0.0;
+      double s2 = a(i + 2, j) + 0.0;
+      double s3 = a(i + 3, j) + 0.0;
+      for (int k = 0; k < j; ++k) {
+        const double v = lj[k];
+        s0 -= l0[k] * v;
+        s1 -= l1[k] * v;
+        s2 -= l2[k] * v;
+        s3 -= l3[k] * v;
+      }
+      l(i, j) = s0 / ljj;
+      l(i + 1, j) = s1 / ljj;
+      l(i + 2, j) = s2 / ljj;
+      l(i + 3, j) = s3 / ljj;
+    }
+    for (; i < n; ++i) {
+      const double* li = l.row(i);
+      double s = a(i, j) + 0.0;
+      for (int k = 0; k < j; ++k) s -= li[k] * lj[k];
+      l(i, j) = s / ljj;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+void Matrix::cholesky_into(Matrix& l) const {
+  assert(rows_ == cols_ && &l != this);
   const int n = rows_;
-  double jitter = 0.0;
+  if (l.rows_ != n || l.cols_ != n) l = Matrix(n, n, 0.0);
+  // Only the strict upper triangle needs clearing: every lower-triangle
+  // entry, stale ones from an earlier factor or a failed pass included, is
+  // written before it is read.
+  for (int r = 0; r < n; ++r) std::fill(l.row(r) + r + 1, l.row(r) + n, 0.0);
   // Scale-aware jitter base: proportional to the largest diagonal entry.
   double diag_max = 1e-12;
   for (int i = 0; i < n; ++i) diag_max = std::max(diag_max, std::abs((*this)(i, i)));
-
+  double jitter = 0.0;
   for (int attempt = 0; attempt < 16; ++attempt) {
-    Matrix l(n, n, 0.0);
-    bool ok = true;
-    for (int r = 0; r < n && ok; ++r) {
-      for (int c = 0; c <= r; ++c) {
-        double sum = (*this)(r, c) + (r == c ? jitter : 0.0);
-        for (int k = 0; k < c; ++k) sum -= l(r, k) * l(c, k);
-        if (r == c) {
-          if (sum <= 0.0) {
-            ok = false;
-            break;
-          }
-          l(r, r) = std::sqrt(sum);
-        } else {
-          l(r, c) = sum / l(c, c);
-        }
-      }
-    }
-    if (ok) return l;
+    if (factor_columns(*this, l, jitter)) return;
     jitter = (jitter == 0.0) ? diag_max * 1e-10 : jitter * 10.0;
   }
-  throw std::runtime_error("Matrix::cholesky: matrix is too far from PD");
+  throw std::runtime_error("Matrix::cholesky_into: matrix is too far from PD");
 }
 
 void Matrix::symmetrize() {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <vector>
 
@@ -27,15 +28,10 @@ class Matrix {
   double& operator()(int r, int c);
   double operator()(int r, int c) const;
 
-  /// Matrix-vector product. Requires v.size() == cols().
-  std::vector<double> matvec(const std::vector<double>& v) const;
-
-  /// Adds `scale * u * u^T` to this matrix (rank-one symmetric update).
-  /// Requires square matrix with rows() == u.size().
-  void add_outer(const std::vector<double>& u, double scale);
-
-  /// Scales every entry by `s`.
-  void scale(double s);
+  /// Row `r` as cols() contiguous entries, for inner loops that walk a row
+  /// without per-entry index arithmetic.
+  double* row(int r) { return data_.data() + offset(r); }
+  const double* row(int r) const { return data_.data() + offset(r); }
 
   /// Returns the transpose.
   Matrix transposed() const;
@@ -43,12 +39,17 @@ class Matrix {
   /// Matrix product this * other.
   Matrix multiply(const Matrix& other) const;
 
-  /// Cholesky factorization of a symmetric positive-definite matrix:
-  /// returns lower-triangular L with L * L^T == *this. If the matrix is not
-  /// positive definite, a small diagonal jitter is added (repeatedly, up to a
-  /// cap) until the factorization succeeds; this keeps optimizers running in
-  /// the face of numerically degenerate covariance estimates.
-  Matrix cholesky() const;
+  /// Cholesky factorization of a symmetric positive-definite matrix into
+  /// `l` (reshaped to n x n only when its shape differs, so a caller that
+  /// refactors every step reuses one allocation): lower-triangular with
+  /// L * L^T == *this and an all-zero strict upper triangle. Reads only the
+  /// lower triangle of *this. If the matrix is not positive definite, a
+  /// small diagonal jitter is added (repeatedly, up to a cap) until the
+  /// factorization succeeds; this keeps optimizers running in the face of
+  /// numerically degenerate covariance estimates. Throws
+  /// std::runtime_error, leaving `l` unspecified, when no jitter helps.
+  /// `l` must not be *this.
+  void cholesky_into(Matrix& l) const;
 
   /// Enforces exact symmetry by averaging with the transpose.
   void symmetrize();
@@ -57,6 +58,11 @@ class Matrix {
   double max_abs() const;
 
  private:
+  std::size_t offset(int r) const {
+    assert(r >= 0 && r < rows_);
+    return static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_);
+  }
+
   int rows_ = 0;
   int cols_ = 0;
   std::vector<double> data_;

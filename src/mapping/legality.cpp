@@ -7,8 +7,6 @@
 namespace naas::mapping {
 namespace {
 
-int ceil_div(int a, int b) { return (a + b - 1) / b; }
-
 /// Clamps every tile to [1, bound(d)].
 template <typename BoundFn>
 void clamp_tiles(TileSizes& tiles, BoundFn bound) {
@@ -19,12 +17,6 @@ void clamp_tiles(TileSizes& tiles, BoundFn bound) {
 }
 
 }  // namespace
-
-int pe_share(const nn::Workload& layer, const arch::ArchConfig& arch,
-             const TileSizes& dram_tile, nn::Dim d) {
-  const int t2 = std::clamp(tile_of(dram_tile, d), 1, layer.dim_size(d));
-  return std::max(1, ceil_div(t2, arch.parallel_extent(d)));
-}
 
 std::string reason_dram_tile_range(nn::Dim d) {
   return std::string("dram tile out of range for ") + nn::dim_name(d);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <string>
 
 #include "arch/accelerator.hpp"
@@ -16,8 +17,12 @@ struct LegalityReport {
 
 /// Per-PE temporal share along `d` after spatial partitioning of the L2
 /// tile: ceil(dram_tile[d] / parallel_extent(d)), at least 1.
-int pe_share(const nn::Workload& layer, const arch::ArchConfig& arch,
-             const TileSizes& dram_tile, nn::Dim d);
+inline int pe_share(const nn::Workload& layer, const arch::ArchConfig& arch,
+                    const TileSizes& dram_tile, nn::Dim d) {
+  const int t2 = std::clamp(tile_of(dram_tile, d), 1, layer.dim_size(d));
+  const int extent = arch.parallel_extent(d);
+  return std::max(1, (t2 + extent - 1) / extent);
+}
 
 /// Checks structural validity (orders are permutations, tiles within
 /// [1, bound]) and capacity (per-PE tile fits L1, L2 tile fits L2).

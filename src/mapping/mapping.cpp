@@ -21,14 +21,6 @@ LoopOrder default_order() {
           nn::Dim::kXp, nn::Dim::kR,  nn::Dim::kS};
 }
 
-int tile_of(const TileSizes& t, nn::Dim d) {
-  return t[static_cast<std::size_t>(static_cast<int>(d))];
-}
-
-void set_tile(TileSizes& t, nn::Dim d, int v) {
-  t[static_cast<std::size_t>(static_cast<int>(d))] = v;
-}
-
 std::string order_to_string(const LoopOrder& order) {
   std::ostringstream os;
   for (std::size_t i = 0; i < order.size(); ++i) {

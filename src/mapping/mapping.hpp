@@ -21,8 +21,12 @@ LoopOrder default_order();
 using TileSizes = std::array<int, nn::kNumDims>;
 
 /// Convenience accessors for TileSizes by Dim.
-int tile_of(const TileSizes& t, nn::Dim d);
-void set_tile(TileSizes& t, nn::Dim d, int v);
+inline int tile_of(const TileSizes& t, nn::Dim d) {
+  return t[static_cast<std::size_t>(static_cast<int>(d))];
+}
+inline void set_tile(TileSizes& t, nn::Dim d, int v) {
+  t[static_cast<std::size_t>(static_cast<int>(d))] = v;
+}
 
 /// One temporal tiling level: the order in which tiles are visited and the
 /// tile size along each dimension at this level.

@@ -30,19 +30,6 @@ const char* layer_kind_name(LayerKind k) {
   return "?";
 }
 
-int Workload::dim_size(Dim d) const {
-  switch (d) {
-    case Dim::kN: return batch;
-    case Dim::kK: return out_channels;
-    case Dim::kC: return in_channels;
-    case Dim::kYp: return out_h;
-    case Dim::kXp: return out_w;
-    case Dim::kR: return kernel_h;
-    case Dim::kS: return kernel_w;
-  }
-  return 1;
-}
-
 long long Workload::macs() const {
   long long m = 1;
   for (Dim d : all_dims()) m *= dim_size(d);

@@ -74,7 +74,18 @@ struct Workload {
   int stride = 1;                 ///< spatial stride (both axes)
 
   /// Size of the iteration space along dimension `d`.
-  int dim_size(Dim d) const;
+  int dim_size(Dim d) const {
+    switch (d) {
+      case Dim::kN: return batch;
+      case Dim::kK: return out_channels;
+      case Dim::kC: return in_channels;
+      case Dim::kYp: return out_h;
+      case Dim::kXp: return out_w;
+      case Dim::kR: return kernel_h;
+      case Dim::kS: return kernel_w;
+    }
+    return 1;
+  }
 
   /// Total multiply-accumulate operations.
   long long macs() const;

@@ -47,18 +47,24 @@ CmaEs::CmaEs(const CmaEsOptions& options)
   chi_n_ = std::sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n));
 }
 
-std::vector<double> CmaEs::sample_from(core::Rng& rng, double sigma) const {
-  const std::vector<double> z = rng.normal_vector(dim_);
-  std::vector<double> y = chol_.matvec(z);
+std::vector<double> CmaEs::sample_one() {
+  // x = clamp(mean + sigma * L z), computed in place over z: row r of L
+  // reads z[0..r] only, so walking the rows bottom-up overwrites each z[r]
+  // after the last row that reads it. The strict upper triangle of L is
+  // exactly zero, and a sum that starts at +0 never changes by adding +-0,
+  // so summing only the lower triangle keeps every bit of the full
+  // product.
   std::vector<double> x(static_cast<std::size_t>(dim_));
-  for (int i = 0; i < dim_; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    x[s] = std::clamp(mean_[s] + sigma * y[s], 0.0, 1.0);
+  for (double& v : x) v = rng_.normal();
+  for (int r = dim_ - 1; r >= 0; --r) {
+    const double* l = chol_.row(r);
+    double acc = 0.0;
+    for (int c = 0; c <= r; ++c) acc += l[c] * x[static_cast<std::size_t>(c)];
+    const auto s = static_cast<std::size_t>(r);
+    x[s] = std::clamp(mean_[s] + sigma_ * acc, 0.0, 1.0);
   }
   return x;
 }
-
-std::vector<double> CmaEs::sample_one() { return sample_from(rng_, sigma_); }
 
 std::vector<std::vector<double>> CmaEs::ask(
     const std::function<bool(const std::vector<double>&)>& valid) {
@@ -170,10 +176,10 @@ void CmaEs::tell(const std::vector<std::vector<double>>& population,
   // z_w = L^-1 y_w approximates C^(-1/2) y_w (Cholesky CMA-ES variant).
   std::vector<double> z_w(static_cast<std::size_t>(dim_), 0.0);
   for (int r = 0; r < dim_; ++r) {
+    const double* l = chol_.row(r);
     double acc = y_w[static_cast<std::size_t>(r)];
-    for (int c = 0; c < r; ++c)
-      acc -= chol_(r, c) * z_w[static_cast<std::size_t>(c)];
-    z_w[static_cast<std::size_t>(r)] = acc / chol_(r, r);
+    for (int c = 0; c < r; ++c) acc -= l[c] * z_w[static_cast<std::size_t>(c)];
+    z_w[static_cast<std::size_t>(r)] = acc / l[r];
   }
 
   // Step-size path and CSA update. The population was sampled with the
@@ -204,23 +210,39 @@ void CmaEs::tell(const std::vector<std::vector<double>>& population,
     path_c_[s] = (1.0 - c_c_) * path_c_[s] + h_sigma * cc_coef * y_w[s];
   }
 
-  // Covariance update: decay + rank-one (path) + rank-mu (parents).
+  // Covariance update: decay, then the rank-one (path) term, then the
+  // rank-mu (parent) terms in parent order, applied to each entry in that
+  // order in one pass over C. Each term is (scale * u[r]) * u[c] with the
+  // left product hoisted per row, which is the same rounding sequence as
+  // applying the three updates to the whole matrix one after another.
   const double c1a =
       c_1_ * (1.0 - (1.0 - h_sigma * h_sigma) * c_c_ * (2.0 - c_c_));
-  cov_.scale(1.0 - c1a - c_mu_);
-  cov_.add_outer(path_c_, c_1_);
+  const double decay = 1.0 - c1a - c_mu_;
+  const auto n = static_cast<std::size_t>(dim_);
+  std::vector<double> parent_y(static_cast<std::size_t>(mu) * n);
+  std::vector<double> parent_scale(static_cast<std::size_t>(mu));
   for (int i = 0; i < mu; ++i) {
     const auto& x = population[static_cast<std::size_t>(
         order[static_cast<std::size_t>(i)])];
-    std::vector<double> y_i(static_cast<std::size_t>(dim_));
-    for (int d = 0; d < dim_; ++d) {
-      const auto s = static_cast<std::size_t>(d);
-      y_i[s] = (x[s] - old_mean[s]) / sampled_sigma;
+    double* y = parent_y.data() + static_cast<std::size_t>(i) * n;
+    for (std::size_t d = 0; d < n; ++d)
+      y[d] = (x[d] - old_mean[d]) / sampled_sigma;
+    parent_scale[static_cast<std::size_t>(i)] =
+        c_mu_ * (*weights)[static_cast<std::size_t>(i)];
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    double* row = cov_.row(static_cast<int>(r));
+    const double path_r = c_1_ * path_c_[r];
+    for (std::size_t c = 0; c < n; ++c)
+      row[c] = row[c] * decay + path_r * path_c_[c];
+    for (int i = 0; i < mu; ++i) {
+      const double* y = parent_y.data() + static_cast<std::size_t>(i) * n;
+      const double y_r = parent_scale[static_cast<std::size_t>(i)] * y[r];
+      for (std::size_t c = 0; c < n; ++c) row[c] += y_r * y[c];
     }
-    cov_.add_outer(y_i, c_mu_ * (*weights)[static_cast<std::size_t>(i)]);
   }
   cov_.symmetrize();
-  chol_ = cov_.cholesky();
+  cov_.cholesky_into(chol_);
   ++generation_;
 }
 

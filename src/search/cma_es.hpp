@@ -89,8 +89,9 @@ class CmaEs {
   long long resample_exhausted() const { return resample_exhausted_; }
 
  private:
+  /// One candidate: clamp(mean + sigma * L z) for fresh standard normals
+  /// z, drawn in index order.
   std::vector<double> sample_one();
-  std::vector<double> sample_from(core::Rng& rng, double sigma) const;
 
   CmaEsOptions opts_;
   core::Rng rng_;

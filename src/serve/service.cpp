@@ -130,14 +130,13 @@ std::vector<Json> EvalService::handle_batch(const std::vector<Json>& requests) {
     }
   }
 
-  // Submit the deduplicated work units as mapping-search chains on one
-  // task graph: every chain's CMA-generation shards interleave with every
-  // other's, so one large layer no longer leaves the pool idle while small
-  // ones finish (the old fan-out joined on whole searches). The chains
-  // publish into the shared cache; the per-request assembly below then
-  // hits it for every task. Mapping search is deterministic per key
-  // (seeded by layer shape, not evaluation order), so this produces
-  // byte-identical responses to sequential submission.
+  // Submit the deduplicated work units to one task graph: each unit not
+  // yet cached becomes one task that runs its whole mapping search and
+  // publishes into the shared cache, and the tasks spread across the
+  // evaluator's pool. The per-request assembly below then hits the cache
+  // for every unit. Mapping search is deterministic per key (seeded by
+  // layer shape, not evaluation order), so this produces byte-identical
+  // responses to sequential submission.
   search::EvalPipeline pipeline(evaluator_);
   bool any_chain = false;
   for (const auto& [arch, layer] : tasks)

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
+
+#include "core/serialize.hpp"
 
 namespace naas::search {
 namespace {
@@ -340,6 +343,52 @@ TEST(CmaEs, HandlesInfiniteFitness) {
   }
   EXPECT_LT(cma.mean()[0], 0.8);
   EXPECT_TRUE(std::isfinite(cma.mean()[1]));
+}
+
+TEST(CmaEs, AskTellStreamMatchesRecordedDigest) {
+  // Pins every bit the optimizer produces over a run: each sampled
+  // candidate, and the mean and step size after each update. Dim 13 is the
+  // hardware genome (sampled through a validity predicate, so the
+  // resampling path runs); dim 30 is the mapping genome. The fitness is an
+  // ill-conditioned rotated quadratic, so the covariance develops large
+  // off-diagonal terms and every Cholesky entry matters. The expected
+  // values were recorded from the straightforward row-order
+  // implementation; a change that reorders any sum changes them. Never
+  // re-record them to make a change pass.
+  const auto fitness = [](const std::vector<double>& x) {
+    double acc = 0.0;
+    for (std::size_t d = 0; d + 1 < x.size(); ++d) {
+      const double u = x[d] + 0.5 * x[d + 1] - 0.6;
+      acc += std::pow(10.0, static_cast<double>(d % 4)) * u * u;
+    }
+    return acc;
+  };
+  const auto valid = [](const std::vector<double>& x) {
+    return x[0] + x[1] + x[2] < 1.8;
+  };
+  for (const auto& [dim, expected] :
+       {std::pair<int, std::uint64_t>{13, 0xc359918a0c106996ULL},
+        std::pair<int, std::uint64_t>{30, 0xeb7b29d7a7d82e16ULL}}) {
+    CmaEsOptions opts;
+    opts.dim = dim;
+    opts.population = 8;
+    opts.seed = 100 + static_cast<std::uint64_t>(dim);
+    CmaEs cma(opts);
+    core::ByteWriter bits;
+    for (int gen = 0; gen < 40; ++gen) {
+      const auto pop = dim == 13 ? cma.ask(valid) : cma.ask();
+      std::vector<double> fit;
+      for (const auto& x : pop) {
+        for (double v : x) bits.f64(v);
+        fit.push_back(fitness(x));
+      }
+      cma.tell(pop, fit);
+      for (double m : cma.mean()) bits.f64(m);
+      bits.f64(cma.sigma());
+    }
+    bits.i64(cma.resample_exhausted());
+    EXPECT_EQ(core::fnv1a64(bits.bytes()), expected) << "dim " << dim;
+  }
 }
 
 }  // namespace

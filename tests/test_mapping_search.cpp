@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "arch/presets.hpp"
+#include "core/rng.hpp"
+#include "core/serialize.hpp"
 #include "mapping/canonical.hpp"
 #include "mapping/legality.hpp"
+#include "nn/model_zoo.hpp"
 
 namespace naas::search {
 namespace {
@@ -122,6 +127,65 @@ TEST(MappingSearch, MoreBudgetNeverWorse) {
   // seeding both include the same floor; the larger budget explores a
   // superset of generations from the same optimizer trajectory.
   EXPECT_LE(big_res.best_edp, small_res.best_edp * 1.001);
+}
+
+TEST(MappingSearch, ResultBitsMatchRecordedDigest) {
+  // Pins every output bit of 1,152 searches: best EDP, evaluation count,
+  // and the best mapping's tiles and orders. Any change that moves a
+  // decoded mapping or a cost (decoder, legality and footprint helpers,
+  // cost model, or an optimizer change big enough to survive decoding)
+  // changes the digest. A last-bit change inside the optimizer is usually
+  // rounded away by decoding; CmaEs.AskTellStreamMatchesRecordedDigest and
+  // Matrix.CholeskyMatchesRowOrderReference pin those bits. Units: about
+  // six unique layers from each of five zoo networks (CNN, transformer and
+  // LLM-decode kinds) on four seeded NVDLA-256-envelope candidates, at
+  // nine (population, iterations) budgets. The expected value was recorded
+  // from the straightforward row-order implementation; never re-record it
+  // to make a change pass.
+  const cost::CostModel model;
+  const HwEncodingSpec hw = make_hw_spec(arch::nvdla_256_resources(),
+                                         OrderEncoding::kImportance, true);
+  core::Rng rng(2024);
+  std::vector<arch::ArchConfig> archs;
+  while (archs.size() < 4) {
+    std::vector<double> genome(static_cast<std::size_t>(hw.genome_size()));
+    for (double& g : genome) g = rng.uniform();
+    if (hw.valid(genome)) archs.push_back(hw.decode(genome));
+  }
+  std::vector<nn::Workload> layers;
+  for (const char* name : {"resnet50", "mobilenetv2", "squeezenet",
+                           "bert_base_encoder", "llm_decode"}) {
+    const auto unique = nn::make_network(name).unique_layers();
+    const std::size_t step = std::max<std::size_t>(1, unique.size() / 6);
+    for (std::size_t i = 0; i < unique.size(); i += step)
+      layers.push_back(unique[i].first);
+  }
+
+  core::ByteWriter bits;
+  std::uint64_t seed = 1;
+  for (int population : {4, 8, 12}) {
+    for (int iterations : {1, 4, 10}) {
+      for (const arch::ArchConfig& arch : archs) {
+        for (const nn::Workload& layer : layers) {
+          MappingSearchOptions opts;
+          opts.population = population;
+          opts.iterations = iterations;
+          opts.seed = seed++;
+          const MappingSearchResult res =
+              search_mapping(model, arch, layer, opts);
+          bits.f64(res.best_edp);
+          bits.i64(res.evaluations);
+          for (const mapping::LevelMapping* level :
+               {&res.best.dram, &res.best.pe}) {
+            for (int t : level->tile) bits.i32(t);
+            for (nn::Dim d : level->order) bits.i32(static_cast<int>(d));
+          }
+          for (nn::Dim d : res.best.pe_order) bits.i32(static_cast<int>(d));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(core::fnv1a64(bits.bytes()), 0x258bd20b71331362ULL);
 }
 
 }  // namespace
