@@ -70,13 +70,13 @@ serve::ServeOptions serve_options(const bench::Budget& budget) {
   return opts;
 }
 
-/// One in-process worker: EvalService + TCP front end + net thread —
+/// One in-process worker: EvalService + TCP front end + its loop thread —
 /// exactly what `naas_serve --listen` runs, minus the process boundary
 /// (the SIGKILL flavor is scripts/fleet_soak.sh's job).
 struct FleetWorker {
   serve::EvalService service;
   serve::Server server;
-  std::thread net_thread;
+  std::thread loop_thread;
   bool ok = false;
 
   explicit FleetWorker(const serve::ServeOptions& opts)
@@ -88,15 +88,15 @@ struct FleetWorker {
                    err.c_str());
       return;
     }
-    net_thread = std::thread([this] { server.run(); });
+    loop_thread = std::thread([this] { server.run(); });
   }
 
   ~FleetWorker() { stop(); }
 
   void stop() {
-    if (net_thread.joinable()) {
+    if (loop_thread.joinable()) {
       server.request_stop();
-      net_thread.join();
+      loop_thread.join();
     }
   }
 

@@ -7,9 +7,9 @@
 // byte-for-byte against a fresh EvalService::handle_lines run with the
 // same options (the stdin driver's exact code path), so the JSON records
 // `responses_identical_to_stdin_mode` — the transport must add zero
-// semantic surface. On a 1-core container adding clients buys pipelining
-// of net-thread framing against eval-thread search, not parallel
-// evaluation; the scaling column is reported for trend, not judged.
+// semantic surface. The server runs one loop thread, so adding clients
+// buys larger batches per loop pass, whose cold units fan out on the
+// evaluator's pool; the scaling column is reported for trend, not judged.
 
 #include "bench_common.hpp"
 
@@ -64,11 +64,11 @@ serve::ServeOptions serve_options(const bench::Budget& budget) {
   return opts;
 }
 
-/// In-process server under bench: service + transport + net thread.
+/// In-process server under bench: service + transport + its loop thread.
 struct BenchServer {
   serve::EvalService service;
   serve::Server server;
-  std::thread net_thread;
+  std::thread loop_thread;
   bool ok = false;
 
   explicit BenchServer(const serve::ServeOptions& opts)
@@ -80,13 +80,13 @@ struct BenchServer {
                    err.c_str());
       return;
     }
-    net_thread = std::thread([this] { server.run(); });
+    loop_thread = std::thread([this] { server.run(); });
   }
 
   ~BenchServer() {
-    if (net_thread.joinable()) {
+    if (loop_thread.joinable()) {
       server.request_stop();
-      net_thread.join();
+      loop_thread.join();
     }
   }
 
@@ -228,10 +228,10 @@ void reproduce_net(const bench::Budget& budget) {
                identical ? "true" : "false");
   std::fprintf(f,
                "  \"note\": \"every TCP response byte-compared against "
-               "EvalService::handle_lines with identical options; on a "
-               "1-core host multi-client gains come from pipelining "
-               "net-thread framing against eval-thread work, not parallel "
-               "evaluation\"\n");
+               "EvalService::handle_lines with identical options; the "
+               "server runs one loop thread, so multi-client gains come "
+               "from larger batches per loop pass, whose cold units fan "
+               "out on the evaluator's pool\"\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_net.json\n");

@@ -13,6 +13,10 @@
 // in-flight dedup amortize the rest. On a 1-core container the spread
 // comes from amortization alone; with more cores the batch fan-out
 // compounds it.
+//
+// The idle-refresh rows time the store refresh a server runs after every
+// batch, when the batch added nothing to the cache, at about 2k and 100k
+// cached entries. That cost must not grow with the cache.
 
 #include "bench_common.hpp"
 
@@ -20,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/serialize.hpp"
 #include "core/thread_pool.hpp"
 #include "core/timer.hpp"
 #include "serve/service.hpp"
@@ -105,6 +110,41 @@ Run run_batch(const serve::ServeOptions& opts,
   return run;
 }
 
+struct IdleRefresh {
+  std::size_t cache_entries = 0;
+  double us = 0;  ///< mean time of one refresh that finds nothing new
+};
+
+/// Fills a store-backed service's cache to about `entries` entries, flushes
+/// them, then times refreshes that find nothing new. The fill adopts one
+/// real search result under distinct synthetic keys (a warm store holds
+/// nothing else), so the cache size costs no searches.
+IdleRefresh time_idle_refresh(const bench::Budget& budget,
+                              std::size_t entries) {
+  const char* store_path = "BENCH_serve_refresh_store.bin";
+  std::remove(store_path);
+  IdleRefresh out;
+  {
+    serve::EvalService service(serve_options(budget, store_path));
+    service.handle_line(make_session(1).front());
+    const search::MappingSearchResult result =
+        service.evaluator().snapshot_since(0).front().second;
+    search::StoreEntries fill;
+    fill.reserve(entries);
+    for (std::size_t i = 1; i < entries; ++i)
+      fill.emplace_back(core::hash_mix(0x5e7e57ULL, i), result);
+    service.adopt_entries(std::move(fill));
+    service.refresh();  // appends the fill: the store is now current
+    out.cache_entries = service.evaluator().cache_size();
+    constexpr int kRefreshes = 200;
+    core::Timer timer;
+    for (int i = 0; i < kRefreshes; ++i) service.refresh();
+    out.us = timer.seconds() * 1e6 / kRefreshes;
+  }
+  std::remove(store_path);
+  return out;
+}
+
 void reproduce_serving(const bench::Budget& budget) {
   bench::print_header(
       "Serving throughput: cold vs warm store, batch vs single submission");
@@ -129,6 +169,8 @@ void reproduce_serving(const bench::Budget& budget) {
   const Run warm_single = run_single(serve_options(budget, store_path),
                                      warm_lines);
   std::remove(store_path);
+  const IdleRefresh idle_small = time_idle_refresh(budget, 2000);
+  const IdleRefresh idle_large = time_idle_refresh(budget, 100000);
 
   const bool batch_identical_to_single =
       cold_batch.responses == cold_single.responses &&
@@ -175,6 +217,9 @@ void reproduce_serving(const bench::Budget& budget) {
       zero_searches_on_warm ? "yes" : "NO (BUG)",
       batch_identical_to_single ? "yes" : "NO (BUG)",
       warm_identical_to_cold ? "yes" : "NO (BUG)");
+  std::printf("idle refresh: %.2f us at %zu cache entries, %.2f us at %zu\n",
+              idle_small.us, idle_small.cache_entries, idle_large.us,
+              idle_large.cache_entries);
 
   FILE* f = std::fopen("BENCH_serve.json", "w");
   if (!f) {
@@ -209,6 +254,12 @@ void reproduce_serving(const bench::Budget& budget) {
                batch_identical_to_single ? "true" : "false");
   std::fprintf(f, "  \"warm_identical_to_cold\": %s,\n",
                warm_identical_to_cold ? "true" : "false");
+  std::fprintf(f, "  \"refresh_idle_us\": [\n");
+  for (const IdleRefresh* row : {&idle_small, &idle_large})
+    std::fprintf(f, "    {\"cache_entries\": %zu, \"us\": %.3f}%s\n",
+                 row->cache_entries, row->us,
+                 row == &idle_large ? "" : ",");
+  std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"note\": \"batch submission amortizes per-submission "
                "store refresh (visible cold) and fans work units across "

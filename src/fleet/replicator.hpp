@@ -62,9 +62,11 @@ class Replicator {
 
 /// LineHandler wrapper that gives an EvalService periodic peer pulls: one
 /// at every `pull_every_refreshes`-th refresh() (the transport's refresh
-/// cadence — no extra thread, and the pull runs on the eval thread, which
-/// is exactly the thread adopt_entries requires). Boot-time warm-up is
-/// the caller's pull_now() call before serving starts.
+/// cadence — no extra thread). The pull runs on serve::Server's loop
+/// thread between batches, which is exactly the thread adopt_entries
+/// requires; the Replicator's connect and fetch timeouts bound how long
+/// it holds the loop. Boot-time warm-up is the caller's pull_now() call
+/// before serving starts.
 class ReplicatedService : public serve::LineHandler {
  public:
   ReplicatedService(serve::EvalService& service, ReplicatorOptions options,

@@ -1,6 +1,7 @@
 #include "serve/json.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -280,17 +281,25 @@ void escape_to(const std::string& s, std::string& out) {
 
 std::string format_double(double v) {
   if (!std::isfinite(v)) return "null";
-  // Shortest representation that round-trips the exact bit pattern —
-  // deterministic text for deterministic values. 15 digits suffice for
-  // values that are short decimals to begin with, 17 always round-trips;
-  // probing just 15/16/17 keeps response serialization cheap (this runs
-  // ~25 times per cost report).
+  // The shortest of %.15g, %.16g and %.17g that reads back to the exact
+  // bit pattern: deterministic text for deterministic values. 15 digits
+  // suffice for values that are short decimals to begin with; 17 always
+  // round-trip. to_chars with a precision is specified as printf("%.*g")
+  // in the C locale and from_chars rounds correctly like strtod, so this
+  // writes the snprintf/strtod probe's text several times faster (an
+  // evaluate_network response carries about 75 numbers). Choosing the
+  // precision from the shortest to_chars output would change the text.
   char buf[32];
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        precision)
+              .ptr;
+    double back = 0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 Json Json::null() { return Json(); }

@@ -33,8 +33,8 @@ class LineHandler {
 
   /// Front-end notification hooks for requests rejected before they ever
   /// reach handle_lines (admission shed, expired deadline, protocol-limit
-  /// reject). Must be thread-safe: the TCP net thread calls them while the
-  /// eval thread serves.
+  /// reject). Called from the thread that drives handle_lines, between
+  /// calls: serve::Server calls them from its one loop thread.
   virtual void note_shed() = 0;
   virtual void note_timeout() = 0;
   virtual void note_protocol_reject() = 0;

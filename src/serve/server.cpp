@@ -4,13 +4,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string_view>
 
 #include "core/log.hpp"
 
 namespace naas::serve {
 namespace {
 
-bool all_whitespace(const std::string& line) {
+bool all_whitespace(std::string_view line) {
   for (const char c : line)
     if (c != ' ' && c != '\t' && c != '\r') return false;
   return true;
@@ -32,17 +34,6 @@ Json extract_id(const std::string& line) {
 Server::Server(LineHandler& service, ServerOptions options)
     : service_(service), options_(std::move(options)) {}
 
-Server::~Server() {
-  // Normal shutdown happens inside run(); this path only covers a Server
-  // that was started but whose run() never completed a drain.
-  {
-    std::lock_guard<std::mutex> lk(queue_mutex_);
-    eval_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (eval_thread_.joinable()) eval_thread_.join();
-}
-
 bool Server::start(std::string* err) {
   if (!listener_.listen(options_.host, options_.port, options_.backlog, err))
     return false;
@@ -54,7 +45,6 @@ bool Server::start(std::string* err) {
   }
   wake_read_ = net::Fd(pipe_fds[0]);
   wake_write_ = net::Fd(pipe_fds[1]);
-  eval_thread_ = std::thread([this] { eval_loop(); });
   started_ = true;
   if (err) err->clear();
   return true;
@@ -69,60 +59,31 @@ void Server::request_stop() {
   }
 }
 
-void Server::wake_net_thread() {
-  if (wake_write_.valid()) {
-    const char b = 'c';
-    [[maybe_unused]] const ssize_t n = ::write(wake_write_.get(), &b, 1);
-  }
-}
+// --------------------------------------------------------------- evaluation
 
-// --------------------------------------------------------------- eval side
-
-void Server::eval_loop() {
-  for (;;) {
-    std::vector<PendingRequest> batch;
-    {
-      std::unique_lock<std::mutex> lk(queue_mutex_);
-      queue_cv_.wait(lk, [this] { return eval_stop_ || !queue_.empty(); });
-      if (queue_.empty()) break;  // eval_stop_ with a drained queue
-      const std::size_t take =
-          std::min(queue_.size(), std::max<std::size_t>(
-                                      1, options_.max_batch_requests));
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      eval_busy_ = true;
-    }
-    dispatch_batch(std::move(batch));
-    {
-      std::lock_guard<std::mutex> lk(queue_mutex_);
-      eval_busy_ = false;
-    }
-    wake_net_thread();
-  }
-}
-
-void Server::dispatch_batch(std::vector<PendingRequest> batch) {
+void Server::dispatch_batch() {
+  const auto take = static_cast<std::ptrdiff_t>(std::min(
+      queue_.size(), std::max<std::size_t>(1, options_.max_batch_requests)));
+  std::vector<PendingRequest> batch(
+      std::make_move_iterator(queue_.begin()),
+      std::make_move_iterator(queue_.begin() + take));
+  queue_.erase(queue_.begin(), queue_.begin() + take);
   const Clock::time_point now = Clock::now();
-  std::vector<Completion> done;
-  done.reserve(batch.size());
 
   // Deadline pass: a request whose deadline expired while it waited is
   // answered without being evaluated — under overload that converts queue
   // time the client already gave up on into shed work instead of letting
   // it displace still-useful requests.
   std::vector<std::string> lines;
-  std::vector<std::size_t> slots;  // index into `batch` per line
-  for (std::size_t i = 0; i < batch.size(); ++i) {
+  std::vector<const PendingRequest*> evaluated;
+  for (PendingRequest& req : batch) {
     long long deadline_ms = options_.default_deadline_ms;
     bool has_deadline = deadline_ms > 0;
     // Quick reject before paying a parse: the field name must at least
     // appear in the bytes.
-    if (batch[i].line.find("\"deadline_ms\"") != std::string::npos) {
+    if (req.line.find("\"deadline_ms\"") != std::string::npos) {
       std::string error;
-      const Json request = Json::parse(batch[i].line, &error);
+      const Json request = Json::parse(req.line, &error);
       if (error.empty() && request.is_object()) {
         if (const Json* d = request.get("deadline_ms"); d && d->is_number()) {
           deadline_ms = d->as_int();
@@ -131,41 +92,39 @@ void Server::dispatch_batch(std::vector<PendingRequest> batch) {
       }
     }
     if (has_deadline &&
-        now - batch[i].arrival > std::chrono::milliseconds(deadline_ms)) {
+        now - req.arrival > std::chrono::milliseconds(deadline_ms)) {
       ++stats_.requests_timed_out;
       service_.note_timeout();
-      done.push_back({batch[i].conn_id, batch[i].slot,
-                      error_response(extract_id(batch[i].line),
-                                     kErrDeadlineExceeded,
-                                     "deadline of " +
-                                         std::to_string(deadline_ms) +
-                                         " ms expired before evaluation")
-                          .dump()});
+      deliver(req, error_response(extract_id(req.line), kErrDeadlineExceeded,
+                                  "deadline of " +
+                                      std::to_string(deadline_ms) +
+                                      " ms expired before evaluation")
+                       .dump());
       continue;
     }
-    lines.push_back(batch[i].line);
-    slots.push_back(i);
+    lines.push_back(std::move(req.line));
+    evaluated.push_back(&req);
   }
 
   if (!lines.empty()) {
     // The stdin driver's exact code path — what makes socket responses
     // byte-identical to stdin mode.
     std::vector<std::string> responses = service_.handle_lines(lines);
-    for (std::size_t k = 0; k < responses.size(); ++k) {
-      const PendingRequest& req = batch[slots[k]];
-      done.push_back({req.conn_id, req.slot, std::move(responses[k])});
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lk(completion_mutex_);
-    for (Completion& c : done) completions_.push_back(std::move(c));
+    for (std::size_t k = 0; k < responses.size(); ++k)
+      deliver(*evaluated[k], std::move(responses[k]));
   }
 
   ++stats_.batches_dispatched;
   if (options_.refresh_every_batches > 0 &&
       stats_.batches_dispatched % options_.refresh_every_batches == 0)
     service_.refresh();
+}
+
+void Server::deliver(const PendingRequest& request, std::string response) {
+  const auto it = conns_.find(request.conn_id);
+  if (it == conns_.end()) return;  // the connection died while queued
+  it->second.ready[request.slot] = std::move(response);
+  --it->second.outstanding;
 }
 
 // ---------------------------------------------------------------- net side
@@ -192,11 +151,14 @@ void Server::handle_readable(Conn& conn) {
 }
 
 void Server::extract_lines(Conn& conn) {
+  // Scan with an offset and erase the consumed prefix once: a read that
+  // holds k pipelined lines moves the rest of the buffer once, not k times.
+  std::size_t start = 0;
   std::size_t nl;
-  while ((nl = conn.inbuf.find('\n')) != std::string::npos) {
-    std::string line = conn.inbuf.substr(0, nl);
-    conn.inbuf.erase(0, nl + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+  while ((nl = conn.inbuf.find('\n', start)) != std::string::npos) {
+    std::string_view line(conn.inbuf.data() + start, nl - start);
+    start = nl + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (all_whitespace(line)) continue;  // batch separators mean nothing here
     ++stats_.lines_received;
     if (line.size() > options_.max_line_bytes) {
@@ -208,8 +170,9 @@ void Server::extract_lines(Conn& conn) {
           line_too_long_response(options_.max_line_bytes).dump();
       continue;
     }
-    admit_line(conn, std::move(line));
+    admit_line(conn, std::string(line));
   }
+  conn.inbuf.erase(0, start);
   if (conn.inbuf.size() > options_.max_line_bytes) {
     // An unframed over-cap line: answering and resynchronizing is
     // impossible without unbounded buffering, so reject and close once
@@ -225,20 +188,11 @@ void Server::extract_lines(Conn& conn) {
 }
 
 void Server::admit_line(Conn& conn, std::string line) {
-  bool admitted = false;
-  {
-    std::lock_guard<std::mutex> lk(queue_mutex_);
-    if (queue_.size() < options_.max_queue_requests) {
-      queue_.push_back(
-          {conn.id, conn.next_slot, std::move(line), Clock::now()});
-      admitted = true;
-    }
-  }
-  if (admitted) {
+  if (queue_.size() < options_.max_queue_requests) {
+    queue_.push_back({conn.id, conn.next_slot, std::move(line), Clock::now()});
     ++stats_.requests_admitted;
     ++conn.outstanding;
     ++conn.next_slot;
-    queue_cv_.notify_one();
     return;
   }
   // Shed at admission: the structured `overloaded` error is the whole
@@ -252,20 +206,6 @@ void Server::admit_line(Conn& conn, std::string line) {
                          std::to_string(options_.max_queue_requests) +
                          " requests); retry later")
           .dump();
-}
-
-void Server::route_completions() {
-  std::vector<Completion> done;
-  {
-    std::lock_guard<std::mutex> lk(completion_mutex_);
-    done.swap(completions_);
-  }
-  for (Completion& c : done) {
-    const auto it = conns_.find(c.conn_id);
-    if (it == conns_.end()) continue;  // connection died while evaluating
-    it->second.ready[c.slot] = std::move(c.response);
-    if (it->second.outstanding > 0) --it->second.outstanding;
-  }
 }
 
 void Server::flush_ready(Conn& conn) {
@@ -302,15 +242,8 @@ void Server::close_conn(std::uint64_t id) {
   dead_conns_.push_back(id);
 }
 
-bool Server::drain_complete() {
-  {
-    std::lock_guard<std::mutex> lk(queue_mutex_);
-    if (!queue_.empty() || eval_busy_) return false;
-  }
-  {
-    std::lock_guard<std::mutex> lk(completion_mutex_);
-    if (!completions_.empty()) return false;
-  }
+bool Server::drain_complete() const {
+  if (!queue_.empty()) return false;
   for (const auto& [id, conn] : conns_)
     if (conn.outstanding > 0 || !conn.ready.empty() || !conn.outbuf.empty())
       return false;
@@ -350,8 +283,11 @@ void Server::run() {
         poller_.add(conn.fd.get(), want_read, want_write);
     }
 
+    // A queued batch is ready to run: look for readiness, do not wait.
     const int timeout_ms =
-        draining_ ? 20 : (options_.idle_timeout_ms > 0 ? 100 : 1000);
+        !queue_.empty() ? 0
+        : draining_     ? 20
+                        : (options_.idle_timeout_ms > 0 ? 100 : 1000);
     poller_.wait(timeout_ms);
 
     // Drain wake-pipe bytes (level-triggered poll would spin otherwise).
@@ -385,12 +321,18 @@ void Server::run() {
       if (!conn.read_closed && poller_.readable(conn.fd.get()))
         handle_readable(conn);
 
-    // Collect evaluated responses, then write everything writable.
-    route_completions();
+    // Evaluate one batch, then write everything writable, so a pipelining
+    // client's answers leave before the next batch runs.
+    if (!queue_.empty()) dispatch_batch();
     for (auto& [id, conn] : conns_) {
+      // Output pending at the poll waited for POLLOUT. Output that is new
+      // since then is written at once: a socket with nothing queued almost
+      // always takes it, and waiting for the next poll would hold these
+      // answers behind the next batch.
+      const bool polled_for_write = !conn.outbuf.empty();
       flush_ready(conn);
       if (!conn.outbuf.empty() &&
-          (poller_.writable(conn.fd.get()) || draining_))
+          (!polled_for_write || poller_.writable(conn.fd.get()) || draining_))
         if (!write_outbuf(conn)) continue;
       const bool finished = conn.outbuf.empty() && conn.ready.empty() &&
                             conn.outstanding == 0;
@@ -408,15 +350,11 @@ void Server::run() {
     dead_conns_.clear();
   }
 
-  // Shut the eval thread down (the queue is empty or the drain timed out),
+  // A drain that timed out may leave admitted requests queued. Finish
+  // them (their answers have nowhere to go once the connections close),
   // then final-flush the store: the contract a SIGTERM'd server keeps.
-  {
-    std::lock_guard<std::mutex> lk(queue_mutex_);
-    eval_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (eval_thread_.joinable()) eval_thread_.join();
   conns_.clear();
+  while (!queue_.empty()) dispatch_batch();
   service_.refresh();
 }
 

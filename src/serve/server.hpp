@@ -1,14 +1,11 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -35,8 +32,8 @@ struct ServerOptions {
   /// without bound.
   std::size_t max_line_bytes = kDefaultMaxLineBytes;
   std::size_t max_batch_requests = kDefaultMaxBatchRequests;
-  /// Admission-queue bound: requests beyond it are shed immediately with a
-  /// structured `overloaded` error instead of stalling the evaluation
+  /// Admission-queue bound: requests beyond it are shed at admission with
+  /// a structured `overloaded` error instead of stalling the evaluation
   /// pool or growing the heap. 0 sheds everything (useful in tests).
   std::size_t max_queue_requests = 4096;
   /// Slow-client write backpressure: while a connection's output buffer
@@ -79,15 +76,22 @@ struct ServerStats {
 /// fleet::Router that shards lines across N remote workers — the transport
 /// neither knows nor cares which.
 ///
-/// Architecture: two threads. The *net thread* (the caller of run()) owns
-/// every socket — a poll(2) readiness loop accepts, reads, frames lines,
-/// enforces the protocol limits, admits requests to a bounded queue, and
-/// writes buffered responses. The *eval thread* drains that queue in
-/// batches through EvalService::handle_lines — which is exactly the stdin
-/// driver's code path, so responses are byte-identical to stdin mode —
-/// and hands completed responses back through a completion queue plus a
-/// wake pipe. EvalService's no-reentrancy contract holds because only the
-/// eval thread ever touches it while the server runs.
+/// Architecture: one thread, the caller of run(). Its poll(2) loop owns
+/// every socket and the handler. Each pass accepts, reads, frames lines,
+/// enforces the protocol limits and admits requests to a bounded queue.
+/// It then dispatches one batch of up to max_batch_requests through
+/// LineHandler::handle_lines, which is exactly the stdin driver's code
+/// path, so responses are byte-identical to stdin mode. The responses go
+/// straight into their connections' reorder buffers, the store refreshes
+/// at its cadence, and the pass ends by writing. Cold work still fans out
+/// on the evaluator's pool inside handle_lines. The handler's
+/// no-reentrancy contract holds because only this thread touches it.
+///
+/// The price of one thread: while a batch evaluates, the loop neither
+/// accepts, reads nor writes. Shedding (`overloaded`) and deadline stamps
+/// therefore happen at the next read pass, at most one batch late. Answers
+/// are written in the pass that computed them, before the next batch runs;
+/// while the queue is non-empty the loop polls without waiting.
 ///
 /// Request pipelining: clients may send any number of requests without
 /// waiting; per-connection responses always come back in request order
@@ -95,20 +99,20 @@ struct ServerStats {
 /// error until the slower evaluated requests before it have answered).
 ///
 /// Graceful drain: request_stop() is async-signal-safe (atomic flag + a
-/// write to the wake pipe). The loop then stops accepting and reading,
-/// finishes every admitted request, flushes responses (bounded by
-/// drain_flush_timeout_ms), performs a final store refresh, and run()
-/// returns — the SIGTERM story "finish what you took, persist, exit 0".
+/// write to the wake pipe, which exists only for this). The loop then
+/// stops accepting and reading, finishes every admitted request, flushes
+/// responses (bounded by drain_flush_timeout_ms), performs a final store
+/// refresh, and run() returns — the SIGTERM story "finish what you took,
+/// persist, exit 0".
 class Server {
  public:
   Server(LineHandler& service, ServerOptions options);
-  ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and starts the eval thread. False + `*err` on
-  /// failure (nothing runs; run() would return immediately).
+  /// Binds and listens. False + `*err` on failure (run() would then
+  /// return immediately).
   bool start(std::string* err);
 
   /// Bound port (after start()).
@@ -132,11 +136,6 @@ class Server {
     std::string line;
     Clock::time_point arrival;
   };
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    std::uint64_t slot = 0;
-    std::string response;
-  };
   struct Conn {
     net::Fd fd;
     std::uint64_t id = 0;
@@ -146,24 +145,22 @@ class Server {
     std::uint64_t flushed = 0;     ///< next slot to append to outbuf
     /// Out-of-order completed responses awaiting their turn.
     std::map<std::uint64_t, std::string> ready;
-    /// Requests admitted to the queue whose completion has not arrived.
+    /// Requests admitted to the queue and not yet answered.
     std::size_t outstanding = 0;
     bool read_closed = false;       ///< EOF seen or framing abandoned
     bool close_after_flush = false;
     Clock::time_point last_activity;
   };
 
-  void eval_loop();
-  void dispatch_batch(std::vector<PendingRequest> batch);
+  void dispatch_batch();
+  void deliver(const PendingRequest& request, std::string response);
   void handle_readable(Conn& conn);
   void extract_lines(Conn& conn);
   void admit_line(Conn& conn, std::string line);
-  void route_completions();
   void flush_ready(Conn& conn);
   bool write_outbuf(Conn& conn);  ///< false => connection died
   void close_conn(std::uint64_t id);
-  void wake_net_thread();
-  bool drain_complete();
+  bool drain_complete() const;
 
   LineHandler& service_;
   ServerOptions options_;
@@ -176,16 +173,8 @@ class Server {
   std::vector<std::uint64_t> dead_conns_;  ///< deferred erase within a pass
   std::uint64_t next_conn_id_ = 1;
 
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
   std::deque<PendingRequest> queue_;
-  bool eval_busy_ = false;
-  bool eval_stop_ = false;
 
-  std::mutex completion_mutex_;
-  std::vector<Completion> completions_;
-
-  std::thread eval_thread_;
   std::atomic<bool> stop_requested_{false};
   bool draining_ = false;
   bool started_ = false;

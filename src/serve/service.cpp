@@ -439,7 +439,12 @@ search::StoreStatus EvalService::refresh_once() {
   // with the sequence it is consistent with, so entries published after
   // the scan can never be skipped by a mark that overshoots them.
   std::uint64_t scan_mark = flush_mark_;
-  if (!options_.store_readonly) {
+  // Nothing entered the cache since the last flush: skip the scan, which
+  // takes every shard lock and visits every entry. Exact because refresh
+  // runs between batches, so no publish is in flight and the sequence read
+  // covers every insertion.
+  if (!options_.store_readonly &&
+      evaluator_.cache_sequence() != flush_mark_) {
     search::StoreEntries fresh =
         evaluator_.snapshot_since(flush_mark_, &scan_mark);
     if (!fresh.empty()) {

@@ -65,19 +65,19 @@ struct ServiceStats {
 ///
 /// Batching: handle_batch collapses all (arch, layer) mapping-search work
 /// units across the batch — including the unique-layer expansion of
-/// evaluate_network requests — into one deduplicated chain set on a
-/// task graph (search::EvalPipeline), so concurrent searches interleave
-/// at CMA-shard granularity, then assembles responses per request in
-/// order. Because mapping search is deterministic per key, batched
-/// responses are bit-identical to submitting the same requests one at a
-/// time.
+/// evaluate_network requests — into one deduplicated task set on a task
+/// graph (search::EvalPipeline), one task per uncached search spread
+/// across the pool, then assembles responses per request in order.
+/// Because mapping search is deterministic per key, batched responses are
+/// bit-identical to submitting the same requests one at a time.
 ///
 /// Store refresh: refresh() appends entries computed since the last mark
 /// (ResultStore::append — cost proportional to new work, not store size),
 /// then compares the file size against what this process last observed and
 /// reloads when another process appended in between. Two services sharing
 /// one store path converge on each other's results without either ever
-/// rewriting the whole file.
+/// rewriting the whole file. A refresh with nothing new skips the cache
+/// scan, so it costs one stat() however large the cache is.
 ///
 /// Threading contract: handle/handle_batch/refresh are *not* reentrant —
 /// drive the service from one front-end thread (concurrency lives inside
@@ -133,8 +133,8 @@ class EvalService : public LineHandler {
   /// Front-end notification hooks: requests rejected *before* evaluation
   /// (admission-queue shed, expired deadline, protocol-limit reject) never
   /// pass through handle_batch, but cache_stats must still report them.
-  /// Thread-safe — the TCP front end sheds on its net thread while the
-  /// eval thread serves.
+  /// The TCP front end calls them from its loop thread between batches;
+  /// the counters are atomic so any thread may read them.
   void note_shed() override { requests_shed_.fetch_add(1); }
   void note_timeout() override { requests_timed_out_.fetch_add(1); }
   void note_protocol_reject() override { protocol_rejects_.fetch_add(1); }

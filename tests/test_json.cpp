@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace naas::serve {
 namespace {
@@ -56,6 +63,79 @@ TEST(Json, DoubleRoundTripsBitExact) {
     EXPECT_TRUE(error.empty());
     EXPECT_EQ(j.as_double(), v) << text;
   }
+}
+
+/// Reference formatter in C stdio: the shortest of %.15g, %.16g and %.17g
+/// that strtod reads back to the same bits. Every number in every response
+/// goes through format_double, so it must produce exactly this text.
+std::string printf_reference(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+double from_bits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+std::uint64_t to_bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(Json, FormatDoubleMatchesPrintfReference) {
+  std::vector<double> values = {0.0, -0.0, DBL_MIN, DBL_MAX, DBL_TRUE_MIN,
+                                1e15, 1e16, 1e17, 1e21};
+  // Every power of two, subnormals included, and both of its neighbours.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    values.push_back(p);
+    values.push_back(std::nextafter(p, 0.0));
+    values.push_back(std::nextafter(p, HUGE_VAL));
+  }
+  // The decades where %g switches to exponent form and where 15, 16 and 17
+  // digits stop sufficing, with their neighbours.
+  for (const double d : {1e15, 1e16, 1e17, 1e21}) {
+    values.push_back(std::nextafter(d, 0.0));
+    values.push_back(std::nextafter(d, HUGE_VAL));
+  }
+  // Integers above 2^53, where consecutive doubles are 2 or more apart.
+  for (std::int64_t i = 0; i < 2000; ++i) {
+    values.push_back(static_cast<double>((std::int64_t{1} << 53) + 2 * i));
+    values.push_back(static_cast<double>((std::int64_t{1} << 60) + 997 * i));
+  }
+  // The sign only prefixes the text, but check it on every edge anyway.
+  const std::size_t edges = values.size();
+  for (std::size_t i = 0; i < edges; ++i) values.push_back(-values[i]);
+  // Seeded random bit patterns of both signs (non-finite ones read "null"
+  // on both sides), then realistic magnitudes: values spread over sixty
+  // decades, and short decimals.
+  std::mt19937_64 rng(0x6a736f6e);
+  for (int i = 0; i < 1000000; ++i) values.push_back(from_bits(rng()));
+  std::uniform_real_distribution<double> exponent(-30.0, 30.0);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(std::pow(10.0, exponent(rng)));
+    values.push_back(static_cast<double>(rng() % 1000000) /
+                     std::pow(10.0, static_cast<double>(rng() % 12)));
+  }
+
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string got = format_double(v);
+    const std::string want = printf_reference(v);
+    if (got == want) continue;
+    if (++mismatches <= 10)
+      ADD_FAILURE() << "bits 0x" << std::hex << to_bits(v) << ": got "
+                    << got << ", want " << want;
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
 }
 
 TEST(Json, NonFiniteDumpsAsNull) {

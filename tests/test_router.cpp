@@ -28,11 +28,11 @@ serve::ServeOptions tiny_options() {
   return opts;
 }
 
-/// In-process worker: EvalService + TCP front end + net thread.
+/// In-process worker: EvalService + TCP front end + its loop thread.
 struct TestWorker {
   serve::EvalService service;
   serve::Server server;
-  std::thread net_thread;
+  std::thread loop_thread;
   bool ok = false;
 
   explicit TestWorker(const serve::ServeOptions& opts = tiny_options())
@@ -43,15 +43,15 @@ struct TestWorker {
       ADD_FAILURE() << "worker start failed: " << err;
       return;
     }
-    net_thread = std::thread([this] { server.run(); });
+    loop_thread = std::thread([this] { server.run(); });
   }
 
   ~TestWorker() { stop(); }
 
   void stop() {
-    if (net_thread.joinable()) {
+    if (loop_thread.joinable()) {
       server.request_stop();
-      net_thread.join();
+      loop_thread.join();
     }
   }
 

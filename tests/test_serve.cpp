@@ -390,9 +390,26 @@ TEST(EvalServiceTest, RefreshIsANoOpWithoutChanges) {
   service.handle_line(search_line("cifarnet", 0));
   EXPECT_EQ(service.refresh(), search::StoreStatus::kOk);
   const long long appends = service.stats().store_appends;
-  // Nothing new: no append, no reload.
-  EXPECT_EQ(service.refresh(), search::StoreStatus::kOk);
+  const long long appended = service.stats().store_entries_appended;
+  // Nothing new: no append, no reload, however often it runs.
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(service.refresh(), search::StoreStatus::kOk);
   EXPECT_EQ(service.stats().store_appends, appends);
+  EXPECT_EQ(service.stats().store_reloads, 0);
+  // An idle refresh skips the cache scan; a search after it is still
+  // appended, exactly once.
+  service.handle_line(search_line("cifarnet", 1, 2));
+  EXPECT_EQ(service.refresh(), search::StoreStatus::kOk);
+  EXPECT_EQ(service.stats().store_entries_appended, appended + 1);
+  EXPECT_EQ(service.refresh(), search::StoreStatus::kOk);
+  EXPECT_EQ(service.stats().store_entries_appended, appended + 1);
+  // Entries adopted from a peer enter the cache with fresh sequence
+  // numbers, so they are appended too.
+  EvalService peer(tiny_options());
+  peer.handle_line(search_line("squeezenet", 0, 3));
+  ASSERT_EQ(service.adopt_entries(peer.evaluator().snapshot_since(0)), 1u);
+  EXPECT_EQ(service.refresh(), search::StoreStatus::kOk);
+  EXPECT_EQ(service.stats().store_entries_appended, appended + 2);
   EXPECT_EQ(service.stats().store_reloads, 0);
   std::remove(store.c_str());
 }

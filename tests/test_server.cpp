@@ -173,6 +173,34 @@ TEST(Server, PipelinedResponsesKeepRequestOrder) {
   EXPECT_GE(ts.service.requests_timed_out(), 1);
 }
 
+TEST(Server, PipelinedAnswerLeavesBeforeTheNextBatchRuns) {
+  // One batch per loop pass, and its answers are written in that pass: the
+  // cheap first answer leaves before the next batch, a cold network that
+  // takes tens of milliseconds, starts. Held for the next pass, it would
+  // leave in one write with the cold answer.
+  ServerOptions opts = loopback_options();
+  opts.max_batch_requests = 1;
+  ServeOptions serve_opts = tiny_options();
+  serve_opts.mapping.population = 24;
+  serve_opts.mapping.iterations = 30;
+  TestServer ts(opts, serve_opts);
+  ASSERT_TRUE(ts.start());
+  LineClient client = ts.connect();
+  ASSERT_TRUE(client.send_raw(
+      "{\"id\":1,\"method\":\"cache_stats\"}\n"
+      "{\"id\":2,\"method\":\"evaluate_network\",\"arch\":{\"preset\":"
+      "\"nvdla256\"},\"network\":\"resnet50\"}\n"));
+  std::string line;
+  ASSERT_TRUE(client.read_line(&line, kReadTimeoutMs));
+  EXPECT_EQ(parse_response(line).get("id")->as_int(), 1);
+  // The cold answer is still being computed, so it did not arrive with the
+  // first (a zero timeout only looks at what was already read).
+  ASSERT_FALSE(client.read_line(&line, 0));
+  ASSERT_TRUE(client.read_line(&line, kReadTimeoutMs));
+  EXPECT_EQ(parse_response(line).get("id")->as_int(), 2);
+  EXPECT_TRUE(parse_response(line).get("ok")->as_bool()) << line;
+}
+
 TEST(Server, DefaultDeadlineAppliesWithoutRequestField) {
   ServerOptions opts = loopback_options();
   opts.default_deadline_ms = 1;
@@ -182,12 +210,11 @@ TEST(Server, DefaultDeadlineAppliesWithoutRequestField) {
   // on a loaded host even it can wait over 1 ms in the queue, and only the
   // second one tests the default.
   opts.max_batch_requests = 1;
-  // The first evaluation must also outlast any scheduling delay of the
-  // net thread between admitting the two lines: the woken eval thread can
-  // preempt it on a loaded host, and a request shorter than that delay
-  // would finish before the second line is even stamped. A large network
-  // at a realistic mapping budget keeps the eval thread busy for tens of
-  // milliseconds, far longer than one scheduler slice.
+  // Both lines arrive in one segment, so one read pass stamps them before
+  // the loop evaluates anything. The first evaluation must then outlast the
+  // second line's 1 ms default with a wide margin, even on a loaded host: a
+  // large network at a realistic mapping budget keeps the loop busy for
+  // tens of milliseconds.
   ServeOptions serve_opts = tiny_options();
   serve_opts.mapping.population = 12;
   serve_opts.mapping.iterations = 10;
@@ -205,6 +232,52 @@ TEST(Server, DefaultDeadlineAppliesWithoutRequestField) {
   EXPECT_TRUE(parse_response(first).get("ok")->as_bool()) << first;
   EXPECT_EQ(error_code_of(parse_response(second)), "deadline_exceeded")
       << second;
+}
+
+TEST(Server, SecondConnectionIsAnsweredAfterTheRunningBatch) {
+  // One thread reads and evaluates. A request on a second connection that
+  // arrives while a cold batch runs is read after that batch and answered
+  // after it, and each connection's responses keep its own request order.
+  ServeOptions serve_opts = tiny_options();
+  serve_opts.mapping.population = 12;
+  serve_opts.mapping.iterations = 10;
+  const std::string network =
+      "{\"id\":1,\"method\":\"evaluate_network\",\"arch\":{\"preset\":"
+      "\"nvdla256\"},\"network\":\"unet\"}";
+  EvalService reference(serve_opts);
+  reference.handle_line(network);
+  const long long cold_searches = reference.evaluator().mapping_searches();
+  ASSERT_GT(cold_searches, 0);
+
+  TestServer ts(loopback_options(), serve_opts);
+  ASSERT_TRUE(ts.start());
+  LineClient first = ts.connect();
+  LineClient second = ts.connect();
+  ASSERT_TRUE(first.send_raw(network + "\n" + search_line(2) + "\n"));
+  // The cold network takes tens of milliseconds; this lands inside it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(second.send_raw("{\"id\":10,\"method\":\"cache_stats\"}\n"
+                              "{\"id\":11,\"method\":\"cache_stats\"}\n"));
+
+  std::string line;
+  for (const int id : {10, 11}) {
+    ASSERT_TRUE(second.read_line(&line, kReadTimeoutMs));
+    const Json r = parse_response(line);
+    EXPECT_EQ(r.get("id")->as_int(), id);
+    // Every search of the cold batch finished before this was evaluated.
+    ASSERT_TRUE(r.get("ok")->as_bool()) << line;
+    EXPECT_GE(r.get("result")->get("mapping_searches")->as_int(),
+              cold_searches)
+        << line;
+  }
+  for (const int id : {1, 2}) {
+    ASSERT_TRUE(first.read_line(&line, kReadTimeoutMs));
+    const Json r = parse_response(line);
+    EXPECT_EQ(r.get("id")->as_int(), id);
+    EXPECT_TRUE(r.get("ok")->as_bool()) << line;
+  }
+  ts.stop();
+  EXPECT_EQ(ts.server.stats().requests_admitted, 4);
 }
 
 TEST(Server, ZeroQueueShedsWithStructuredOverloaded) {
@@ -243,6 +316,30 @@ TEST(Server, OversizedFramedLineRejectedConnectionSurvives) {
   EXPECT_TRUE(parse_response(second).get("ok")->as_bool());
   ts.stop();
   EXPECT_EQ(ts.server.stats().protocol_rejects, 1);
+}
+
+TEST(Server, FramesCrlfAndBlankLinesInOneRead) {
+  // One segment with CRLF line ends, whitespace-only lines and lines exactly
+  // at the cap: each carriage return is stripped before the length check,
+  // blank lines are skipped, and every request is answered in order.
+  const std::string first = "{\"id\":1,\"method\":\"cache_stats\"}";
+  const std::string second = "{\"id\":2,\"method\":\"cache_stats\"}";
+  ServerOptions opts = loopback_options();
+  opts.max_line_bytes = first.size();
+  TestServer ts(opts);
+  ASSERT_TRUE(ts.start());
+  LineClient client = ts.connect();
+  ASSERT_TRUE(client.send_raw("\r\n \t\n" + first + "\r\n\n" + second + "\r\n"));
+  for (const int id : {1, 2}) {
+    std::string line;
+    ASSERT_TRUE(client.read_line(&line, kReadTimeoutMs));
+    const Json response = parse_response(line);
+    EXPECT_EQ(response.get("id")->as_int(), id);
+    EXPECT_TRUE(response.get("ok")->as_bool()) << line;
+  }
+  ts.stop();
+  EXPECT_EQ(ts.server.stats().lines_received, 2);
+  EXPECT_EQ(ts.server.stats().protocol_rejects, 0);
 }
 
 TEST(Server, UnframedOversizedLineRejectsAndCloses) {
