@@ -10,7 +10,8 @@
 // ("simd_identical_to_scalar"). The google-benchmark cases also time the
 // rest of one mapping search stage by stage (CmaEs::ask and tell at the
 // mapping genome's dimension, MapEncodingSpec::decode, and search_mapping
-// end to end on seeded units), so the per-call stage figures cited in
+// end to end on seeded units, each drawing its own normals or reading one
+// stream per layer), so the per-call stage figures cited in
 // docs/performance.md are reproducible from
 // BENCH_bench_cost_batch_micro.json.
 
@@ -500,6 +501,33 @@ void BM_SearchMapping(benchmark::State& state) {
       static_cast<long long>(units.archs.size() * units.layers.size()));
 }
 BENCHMARK(BM_SearchMapping)->Unit(benchmark::kMillisecond);
+
+/// BM_SearchMapping's 154 searches the way EvalPipeline runs them: one
+/// mapping_normals stream per layer, drawn once and read by the searches
+/// of both accelerators.
+void BM_SearchMappingSharedNormals(benchmark::State& state) {
+  const StageUnits units = stage_units(2);
+  const cost::CostModel model;
+  search::MappingSearchOptions opts;
+  opts.population = 8;
+  opts.iterations = 4;
+  for (auto _ : state) {
+    std::uint64_t seed = 1;
+    for (const nn::Workload& layer : units.layers) {
+      opts.seed = seed++;
+      const std::vector<double> normals = search::mapping_normals(opts);
+      for (const arch::ArchConfig& arch : units.archs) {
+        const auto res =
+            search::search_mapping(model, arch, layer, opts, normals);
+        benchmark::DoNotOptimize(res.best_edp);
+      }
+    }
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<long long>(units.archs.size() * units.layers.size()));
+}
+BENCHMARK(BM_SearchMappingSharedNormals)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

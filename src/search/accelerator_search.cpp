@@ -170,9 +170,8 @@ cost::NetworkCost ArchEvaluator::evaluate(const arch::ArchConfig& arch,
     // Fill phase: one search task per unique layer shape not yet resident,
     // all on one graph. Skipped entirely on a fully warm cache.
     EvalPipeline pipeline(*this);
-    std::vector<core::TaskGraph::TaskId> deps;
-    pipeline.request_network(arch, net, &deps);
-    if (!deps.empty()) pipeline.run();
+    if (!pipeline.request_benchmarks({&arch, 1}, {&net, 1}).front().empty())
+      pipeline.run();
   }
   return assemble_network(arch, net);
 }
@@ -193,18 +192,17 @@ std::vector<double> ArchEvaluator::evaluate_population(
                            std::numeric_limits<double>::infinity());
   if (archs.empty()) return edps;
   // One graph: every candidate's unique (arch, layer) searches —
-  // deduplicated across the whole population — plus a per-candidate
-  // assembly task that becomes ready the moment exactly its own layers are
-  // resident. A slow layer of candidate 3 no longer stalls the scoring of
-  // candidate 7.
+  // deduplicated across the whole population, one task per layer shape —
+  // plus a per-candidate assembly task that becomes ready the moment
+  // exactly its own layers are resident.
   EvalPipeline pipeline(*this);
+  const auto deps = pipeline.request_benchmarks(archs, benchmarks);
   for (std::size_t i = 0; i < archs.size(); ++i) {
-    const auto deps = pipeline.request_benchmarks(archs[i], benchmarks);
     pipeline.graph().submit(
         [this, archs, &benchmarks, &edps, i] {
           edps[i] = assembled_geomean(archs[i], benchmarks);
         },
-        deps);
+        deps[i]);
   }
   pipeline.run();
   return edps;
@@ -326,6 +324,27 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
     report_locked(k, edp);
   };
 
+  // Requests the layer searches of genomes `slots` as one batch (one task
+  // per layer shape) and submits each genome's assembly task, gated on
+  // exactly its own searches. Pure assembly: every key is resident when it
+  // runs, so no pipeline is needed there. `report_fn` is a named callable
+  // of this scope, alive until the graph drains. Runs under outer.mutex.
+  const auto submit_assemblies = [&](const std::vector<std::size_t>& slots,
+                                     const auto& report_fn) {
+    std::vector<arch::ArchConfig> archs;
+    archs.reserve(slots.size());
+    for (const std::size_t k : slots) archs.push_back(outer.configs[k]);
+    const auto deps = pipeline.request_benchmarks(archs, benchmarks);
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      graph.submit(
+          [&outer, &evaluator, &benchmarks, &report_fn, k = slots[j]] {
+            report_fn(
+                k, evaluator.assembled_geomean(outer.configs[k], benchmarks));
+          },
+          deps[j]);
+    }
+  };
+
   // Resolves this generation's deferred surrogate candidates once every
   // admitted genome has reported. CmaEs::tell is rank-only (see
   // CmaEs::parents), so a pruned candidate may keep its lower bound as
@@ -357,6 +376,7 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
                        reported.end());
       threshold = reported[mu - 1];
     }
+    std::vector<std::size_t> rescued;
     for (const auto& [k, lb] : pruned) {
       const bool keep = lb > threshold;
       evaluator.note_surrogate_consult(keep);
@@ -366,16 +386,10 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
         // the returned best. The bound stands in as its fitness.
         report_locked(k, lb);
       } else {
-        const auto deps =
-            pipeline.request_benchmarks(outer.configs[k], benchmarks);
-        graph.submit(
-            [&outer, &evaluator, &benchmarks, &report, k] {
-              report(k,
-                     evaluator.assembled_geomean(outer.configs[k], benchmarks));
-            },
-            deps);
+        rescued.push_back(k);
       }
     }
+    submit_assemblies(rescued, report);
   };
 
   // Fitness report from an admitted genome's assembly task; the last one
@@ -435,18 +449,7 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
       admitted.push_back(k);
     }
     outer.admitted_pending = admitted.size();
-    for (const std::size_t k : admitted) {
-      const auto deps =
-          pipeline.request_benchmarks(outer.configs[k], benchmarks);
-      graph.submit(
-          [&outer, &evaluator, &benchmarks, &report_admitted, k] {
-            // Pure assembly: this task is gated on exactly its layer
-            // searches, so every key is resident — no pipeline needed.
-            report_admitted(
-                k, evaluator.assembled_geomean(outer.configs[k], benchmarks));
-          },
-          deps);
-    }
+    submit_assemblies(admitted, report_admitted);
     // Infeasible genomes cost nothing to score; reporting them last keeps
     // a generation with no admitted candidate correct (the final report
     // completes the generation and recurses into the next one right here).
@@ -486,13 +489,13 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
   std::vector<double> seed_edps(eligible.size(),
                                 std::numeric_limits<double>::infinity());
   std::vector<core::TaskGraph::TaskId> seed_tasks;
+  const auto seed_deps = pipeline.request_benchmarks(eligible, benchmarks);
   for (std::size_t i = 0; i < eligible.size(); ++i) {
-    const auto deps = pipeline.request_benchmarks(eligible[i], benchmarks);
     seed_tasks.push_back(graph.submit(
         [&evaluator, &eligible, &benchmarks, &seed_edps, i] {
           seed_edps[i] = evaluator.assembled_geomean(eligible[i], benchmarks);
         },
-        deps));
+        seed_deps[i]));
   }
   graph.submit(
       [&] {

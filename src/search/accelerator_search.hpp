@@ -29,11 +29,13 @@ class EvalPipeline;
 /// candidates, and baseline re-evaluations all hit it.
 ///
 /// Evaluation runs on the asynchronous task-graph pipeline (EvalPipeline +
-/// core::TaskGraph): every (arch, layer) work unit becomes one
-/// search_mapping task, deduplicated by cache key, and all units across all
-/// candidates and networks share one graph — no per-candidate or per-layer
-/// joins. Results, cache contents, and every meter are bit-identical for
-/// any thread count (and to evaluating the candidates one by one).
+/// core::TaskGraph): the (arch, layer) work units of a request are
+/// deduplicated by cache key and grouped by layer shape, one task per
+/// group that draws the layer's CMA-ES normals once and runs search_mapping
+/// for each of its accelerators. All groups across all candidates and
+/// networks share one graph — no per-candidate or per-layer joins. Results,
+/// cache contents, and every meter are bit-identical for any thread count,
+/// and all but tasks_executed to evaluating the candidates one by one.
 ///
 /// Thread safety: all evaluation entry points may be called concurrently
 /// (the cache is mutex-striped and the statistics are atomic), though the
@@ -60,11 +62,11 @@ class ArchEvaluator {
                      const std::vector<nn::Network>& benchmarks);
 
   /// Batched population scoring: geomean EDP for every candidate, returned
-  /// by candidate index. One task graph carries one search task per unique
-  /// uncached (arch, layer) unit plus a per-candidate assembly task, so
-  /// slow layers of one candidate overlap everything else — results
-  /// (including all cache contents and statistics) match evaluating the
-  /// candidates one by one.
+  /// by candidate index. One task graph carries one task per layer shape
+  /// with uncached units, which searches that layer on every candidate
+  /// needing it from one normal stream, plus a per-candidate assembly task.
+  /// Results, cache contents and every meter except tasks_executed match
+  /// evaluating the candidates one by one.
   std::vector<double> evaluate_population(
       std::span<const arch::ArchConfig> archs,
       const std::vector<nn::Network>& benchmarks);
@@ -101,9 +103,11 @@ class ArchEvaluator {
   }
 
   /// Scheduler work meter: every task-graph task run under this evaluator's
-  /// pipelines (one per pipelined mapping search, plus the callers' own
+  /// pipelines (one per layer group of a request, plus the callers' own
   /// tasks such as candidate finalizes). Deterministic for any thread
-  /// count. best_mapping misses run inline and meter none.
+  /// count, but it depends on how requests batch candidates: scoring them
+  /// together runs fewer tasks than one by one. best_mapping misses run
+  /// inline and meter none.
   long long tasks_executed() const;
 
   /// Surrogate-pruning meters: lower-bound consultations the outer search

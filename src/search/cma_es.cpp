@@ -47,15 +47,12 @@ CmaEs::CmaEs(const CmaEsOptions& options)
   chi_n_ = std::sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n));
 }
 
-std::vector<double> CmaEs::sample_one() {
-  // x = clamp(mean + sigma * L z), computed in place over z: row r of L
-  // reads z[0..r] only, so walking the rows bottom-up overwrites each z[r]
-  // after the last row that reads it. The strict upper triangle of L is
-  // exactly zero, and a sum that starts at +0 never changes by adding +-0,
-  // so summing only the lower triangle keeps every bit of the full
-  // product.
-  std::vector<double> x(static_cast<std::size_t>(dim_));
-  for (double& v : x) v = rng_.normal();
+void CmaEs::transform(std::vector<double>& x) const {
+  // Row r of L reads x[0..r] only, so walking the rows bottom-up
+  // overwrites each x[r] after the last row that reads it. The strict
+  // upper triangle of L is exactly zero, and a sum that starts at +0 never
+  // changes by adding +-0, so summing only the lower triangle keeps every
+  // bit of the full product.
   for (int r = dim_ - 1; r >= 0; --r) {
     const double* l = chol_.row(r);
     double acc = 0.0;
@@ -63,7 +60,26 @@ std::vector<double> CmaEs::sample_one() {
     const auto s = static_cast<std::size_t>(r);
     x[s] = std::clamp(mean_[s] + sigma_ * acc, 0.0, 1.0);
   }
+}
+
+std::vector<double> CmaEs::sample_one() {
+  std::vector<double> x(static_cast<std::size_t>(dim_));
+  for (double& v : x) v = rng_.normal();
+  transform(x);
   return x;
+}
+
+std::vector<std::vector<double>> CmaEs::ask_from(
+    std::span<const double> normals) {
+  const auto dim = static_cast<std::size_t>(dim_);
+  assert(normals.size() == static_cast<std::size_t>(opts_.population) * dim);
+  std::vector<std::vector<double>> pop;
+  pop.reserve(static_cast<std::size_t>(opts_.population));
+  for (std::size_t at = 0; at < normals.size(); at += dim) {
+    const auto z = normals.subspan(at, dim);
+    transform(pop.emplace_back(z.begin(), z.end()));
+  }
+  return pop;
 }
 
 std::vector<std::vector<double>> CmaEs::ask(

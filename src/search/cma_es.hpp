@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/matrix.hpp"
@@ -38,6 +39,15 @@ class CmaEs {
   /// see resample_exhausted()).
   std::vector<std::vector<double>> ask(
       const std::function<bool(const std::vector<double>&)>& valid = nullptr);
+
+  /// Samples one generation from caller-supplied standard normals instead
+  /// of this optimizer's own stream: candidate k transforms
+  /// normals[k * dim, (k + 1) * dim), so `normals` must hold exactly
+  /// population * dim values. No validity predicate. Bit-identical to
+  /// ask() when `normals` are the draws ask() would have made next, which
+  /// lets searches that share a seed draw their stream once (see
+  /// mapping_normals).
+  std::vector<std::vector<double>> ask_from(std::span<const double> normals);
 
   /// Reports fitness for the generation returned by the matching ask()
   /// (lower is better) and updates mean, covariance, and step size.
@@ -89,9 +99,12 @@ class CmaEs {
   long long resample_exhausted() const { return resample_exhausted_; }
 
  private:
-  /// One candidate: clamp(mean + sigma * L z) for fresh standard normals
-  /// z, drawn in index order.
+  /// One candidate from fresh standard normals, drawn in index order.
   std::vector<double> sample_one();
+
+  /// x <- clamp(mean + sigma * L x), in place over standard normals x:
+  /// the one transform every sampling path shares.
+  void transform(std::vector<double>& x) const;
 
   CmaEsOptions opts_;
   core::Rng rng_;

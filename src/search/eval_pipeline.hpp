@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -15,14 +15,18 @@ class ArchEvaluator;
 
 /// One task-graph run spanning any number of deduplicated mapping searches
 /// plus caller-defined tasks (per-candidate finalizes, outer-loop generation
-/// continuations). Every (arch, layer) work unit across every candidate,
-/// network, and generation becomes one task that runs search_mapping and
-/// publishes the result into the EvalCache, so a slow layer's search
-/// overlaps every other search and no caller joins on a whole population.
+/// continuations). A request batches (arch, layer) work units from any
+/// number of candidates and networks and submits one task per layer shape:
+/// it draws that layer's CMA-ES normal stream once (mapping_normals; the
+/// stream depends on the layer's seed and the budget, never on the arch)
+/// and runs search_mapping for each of the group's accelerators from it,
+/// publishing every result into the EvalCache. Groups from every
+/// candidate, network, and generation share one graph, so no caller joins
+/// on a whole population.
 ///
 /// Dedup: work units are keyed by the evaluator's cache key; the first
-/// request submits the unit's task, later requests just return its id, so
-/// dependents can sequence after residency.
+/// request joins the unit to a group task, later requests just return that
+/// task's id, so dependents can sequence after residency.
 ///
 /// Thread safety: request() may be called from graph task bodies (that is
 /// how the outer search schedules generation g+1's work from generation
@@ -31,35 +35,43 @@ class ArchEvaluator;
 /// user satisfies this structurally: seed requests happen before run(),
 /// and in-flight requests only ever come from the one generation
 /// continuation that is active (serialized by the outer search's lock).
-/// No task body touches the request map — search tasks only publish into
+/// No task body touches the request map — group tasks only publish into
 /// the (mutex-striped) cache and bump atomic meters — so the map needs no
 /// lock of its own.
 class EvalPipeline {
  public:
+  using TaskId = core::TaskGraph::TaskId;
+
+  /// One mapping-search work unit. The pointees need to outlive only the
+  /// request() call: group tasks keep their own copies.
+  struct WorkUnit {
+    const arch::ArchConfig* arch;
+    const nn::Workload* layer;
+  };
+
   explicit EvalPipeline(ArchEvaluator& evaluator);
 
   /// The underlying graph, for caller-defined tasks (finalizes,
   /// continuations, promises).
   core::TaskGraph& graph() { return graph_; }
 
-  /// Ensures the mapping-search result for (arch, layer) will be resident
-  /// in the evaluator's cache once the returned task completes. Returns
-  /// nothing when the result is already resident (no task to wait on);
-  /// otherwise the id of the unit's search-and-publish task.
-  std::optional<core::TaskGraph::TaskId> request(const arch::ArchConfig& arch,
-                                                 const nn::Workload& layer);
+  /// Ensures every unit's mapping-search result will be resident in the
+  /// evaluator's cache once its task completes. Units already resident or
+  /// already requested start no new search; the rest are grouped by layer
+  /// shape, one task per group. Returns one id per unit, in order: the
+  /// task that publishes it, or 0 when it was resident before this
+  /// pipeline saw it (nothing to wait on).
+  std::vector<TaskId> request(std::span<const WorkUnit> units);
 
-  /// request() over every unique layer shape of `net`, appending the ids
-  /// of units not yet resident to `deps` (when given). The shared
-  /// traversal for all callers, so a candidate's dependency set can never
-  /// drift out of sync with the searches actually requested for it.
-  void request_network(const arch::ArchConfig& arch, const nn::Network& net,
-                       std::vector<core::TaskGraph::TaskId>* deps = nullptr);
-
-  /// request_network over a benchmark set; returns the collected ids (the
-  /// dependency set of one candidate's assembly task).
-  std::vector<core::TaskGraph::TaskId> request_benchmarks(
-      const arch::ArchConfig& arch, const std::vector<nn::Network>& benchmarks);
+  /// request() over every unique layer shape of `networks` for each of
+  /// `archs`, as one batch, so each layer shape's searches share a task.
+  /// Returns each arch's dependency set (the ids of its units that are not
+  /// yet resident): the shared traversal for all callers, so a candidate's
+  /// assembly task can never drift out of sync with the searches actually
+  /// requested for it.
+  std::vector<std::vector<TaskId>> request_benchmarks(
+      std::span<const arch::ArchConfig> archs,
+      std::span<const nn::Network> networks);
 
   /// Drives the graph to quiescence and folds the scheduler stats into the
   /// evaluator's work meters. Rethrows the first task error.
@@ -68,10 +80,10 @@ class EvalPipeline {
  private:
   ArchEvaluator& evaluator_;
   core::TaskGraph graph_;
-  /// Search-task id per requested key (one deduplicated (arch, layer)
-  /// work unit each); 0 when the result was already resident at request
-  /// time (nothing to depend on).
-  std::unordered_map<std::uint64_t, core::TaskGraph::TaskId> published_;
+  /// Group-task id per requested key (one deduplicated (arch, layer) work
+  /// unit each); 0 when the result was already resident at request time
+  /// (nothing to depend on).
+  std::unordered_map<std::uint64_t, TaskId> published_;
   core::TaskGraph::Stats absorbed_;  ///< stats already folded into meters
 };
 

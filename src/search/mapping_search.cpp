@@ -1,9 +1,13 @@
 #include "search/mapping_search.hpp"
 
+#include <algorithm>
 #include <array>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "mapping/canonical.hpp"
 #include "search/cma_es.hpp"
 
@@ -24,13 +28,37 @@ double reduce(MappingSearchResult& result, const mapping::Mapping& m,
   return rep.legal ? rep.edp : std::numeric_limits<double>::infinity();
 }
 
+/// Normals one CMA generation consumes (population x genome_size).
+std::size_t normals_per_generation(const MappingSearchOptions& options) {
+  return static_cast<std::size_t>(options.population) *
+         static_cast<std::size_t>(options.encoding.genome_size());
+}
+
+/// Normals a whole search consumes; no generation runs below 1 iteration.
+std::size_t normals_per_search(const MappingSearchOptions& options) {
+  return static_cast<std::size_t>(std::max(0, options.iterations)) *
+         normals_per_generation(options);
+}
+
 }  // namespace
+
+std::vector<double> mapping_normals(const MappingSearchOptions& options) {
+  core::Rng rng(options.seed);
+  std::vector<double> normals(normals_per_search(options));
+  for (double& z : normals) z = rng.normal();
+  return normals;
+}
 
 MappingSearchResult search_mapping(const cost::CostModel& model,
                                    const arch::ArchConfig& arch,
                                    const nn::Workload& layer,
                                    const MappingSearchOptions& options,
-                                   core::ThreadPool* /*pool*/) {
+                                   std::span<const double> normals) {
+  if (normals.size() != normals_per_search(options))
+    throw std::invalid_argument(
+        "search_mapping: normals stream holds " +
+        std::to_string(normals.size()) + " values, the budget consumes " +
+        std::to_string(normals_per_search(options)));
   MappingSearchResult result;
   result.best_edp = std::numeric_limits<double>::infinity();
   // One context carries every per-(arch, layer) invariant for the whole
@@ -51,17 +79,20 @@ MappingSearchResult search_mapping(const cost::CostModel& model,
       reduce(result, seeds[i], seed_reports[i]);
   }
 
+  // The seed reaches the optimizer only through `normals`.
   CmaEsOptions cma_opts;
   cma_opts.dim = options.encoding.genome_size();
   cma_opts.population = options.population;
-  cma_opts.seed = options.seed;
   CmaEs cma(cma_opts);
   // Per-generation slots, reused: evaluate_batch rewrites every report.
   std::vector<mapping::Mapping> mappings;
   std::vector<cost::CostReport> reports;
   std::vector<double> fitness;
+  const std::size_t per_generation = normals_per_generation(options);
   for (int iter = 0; iter < options.iterations; ++iter) {
-    const std::vector<std::vector<double>> population = cma.ask();
+    const std::vector<std::vector<double>> population = cma.ask_from(
+        normals.subspan(static_cast<std::size_t>(iter) * per_generation,
+                        per_generation));
     const std::size_t n = population.size();
     mappings.resize(n);
     reports.resize(n);
@@ -78,6 +109,14 @@ MappingSearchResult search_mapping(const cost::CostModel& model,
     if (iter + 1 < options.iterations) cma.tell(population, fitness);
   }
   return result;
+}
+
+MappingSearchResult search_mapping(const cost::CostModel& model,
+                                   const arch::ArchConfig& arch,
+                                   const nn::Workload& layer,
+                                   const MappingSearchOptions& options,
+                                   core::ThreadPool* /*pool*/) {
+  return search_mapping(model, arch, layer, options, mapping_normals(options));
 }
 
 }  // namespace naas::search

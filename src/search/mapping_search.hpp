@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "arch/accelerator.hpp"
 #include "core/thread_pool.hpp"
@@ -40,13 +42,32 @@ struct MappingSearchResult {
   long long candidates_batch_evaluated = 0;
 };
 
+/// The standard normals one search under `options` consumes, in order:
+/// iterations x population x genome_size draws from Rng(options.seed).
+/// A function of the seed and the budget alone, never of the arch or the
+/// layer, so searches that share a seed can share one stream.
+std::vector<double> mapping_normals(const MappingSearchOptions& options);
+
 /// Searches the mapping space of `layer` on `arch`, returning the best
 /// (lowest-EDP) mapping found. One plain loop on the calling thread: build
 /// the layer context, score the canonical seeds, then per CMA generation
-/// sample, decode every candidate, score the whole generation with one
+/// sample from the next population x genome_size values of `normals`,
+/// decode every candidate, score the whole generation with one
 /// CostModel::evaluate_batch call, and fold fitness in candidate order.
-/// Deterministic for a fixed seed. Callers parallelize across searches
-/// (EvalPipeline runs each as one task), never inside one.
+/// Callers parallelize across searches (EvalPipeline runs each layer's
+/// searches as one task that draws the stream once), never inside one.
+///
+/// `normals` must be mapping_normals(options); any other length throws
+/// std::invalid_argument. Given that stream the result is bit-identical
+/// to the overload below.
+MappingSearchResult search_mapping(const cost::CostModel& model,
+                                   const arch::ArchConfig& arch,
+                                   const nn::Workload& layer,
+                                   const MappingSearchOptions& options,
+                                   std::span<const double> normals);
+
+/// search_mapping drawing its own stream (mapping_normals(options)).
+/// Deterministic for a fixed seed.
 ///
 /// `pool` is unused. It stays only because the frozen benchmark source
 /// (naasbench/src/probes.cpp) passes one; drop it with the next benchmark

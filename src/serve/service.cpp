@@ -7,7 +7,6 @@
 #include <exception>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "core/fault.hpp"
@@ -21,10 +20,9 @@
 namespace naas::serve {
 namespace {
 
-/// Batch-dedup key for one (arch, layer) mapping-search work unit. Only
-/// used to collapse duplicates within a batch and to key the payload
-/// memo; the evaluator's own cache key (which additionally fingerprints
-/// the search options) is what the result is stored under.
+/// Payload-memo key for one (arch, layer) mapping-search work unit; the
+/// evaluator's own cache key (which additionally fingerprints the search
+/// options) is what the result is stored under.
 std::uint64_t task_key(const arch::ArchConfig& arch,
                        const nn::Workload& layer) {
   return core::hash_mix(search::arch_fingerprint(arch),
@@ -105,44 +103,33 @@ std::vector<Json> EvalService::handle_batch(const std::vector<Json>& requests) {
 
   // Collapse every mapping-search work unit in the batch — direct
   // search_mapping queries and the unique-layer expansion of
-  // evaluate_network queries — into one deduplicated task set. Work shared
-  // by several requests (the common case: many clients asking about the
-  // same architecture) is paid for once per batch instead of once per
-  // request.
-  std::vector<std::pair<const arch::ArchConfig*, const nn::Workload*>> tasks;
-  std::unordered_set<std::uint64_t> seen;
-  const auto add_task = [&](const arch::ArchConfig& arch,
-                            const nn::Workload& layer) {
-    if (seen.insert(task_key(arch, layer)).second)
-      tasks.emplace_back(&arch, &layer);
-  };
+  // evaluate_network queries — into one pipeline request. It dedups the
+  // units, skips cached ones and runs one task per layer shape, so work
+  // shared by several requests (the common case: many clients asking about
+  // the same architecture) is paid for once per batch, and the tasks spread
+  // across the evaluator's pool. The per-request assembly below then hits
+  // the cache for every unit. Mapping search is deterministic per key
+  // (seeded by layer shape, not evaluation order), so this produces
+  // byte-identical responses to sequential submission.
+  std::vector<search::EvalPipeline::WorkUnit> units;
   // unique_layers() returns by value; keep the expansions alive through the
-  // fan-out below.
+  // request below.
   std::vector<std::vector<std::pair<nn::Workload, int>>> expansions;
   for (Plan& plan : plans) {
     if (!plan.error_code.empty() || !plan.has_task) continue;
     if (plan.network) {
       expansions.push_back(plan.network->unique_layers());
       for (const auto& [layer, count] : expansions.back())
-        add_task(plan.arch, layer);
+        units.push_back({&plan.arch, &layer});
     } else {
-      add_task(plan.arch, plan.layer);
+      units.push_back({&plan.arch, &plan.layer});
     }
   }
-
-  // Submit the deduplicated work units to one task graph: each unit not
-  // yet cached becomes one task that runs its whole mapping search and
-  // publishes into the shared cache, and the tasks spread across the
-  // evaluator's pool. The per-request assembly below then hits the cache
-  // for every unit. Mapping search is deterministic per key (seeded by
-  // layer shape, not evaluation order), so this produces byte-identical
-  // responses to sequential submission.
   search::EvalPipeline pipeline(evaluator_);
-  bool any_chain = false;
-  for (const auto& [arch, layer] : tasks)
-    if (pipeline.request(*arch, *layer))
-      any_chain = true;
-  if (any_chain) pipeline.run();
+  const auto ids = pipeline.request(units);
+  if (std::any_of(ids.begin(), ids.end(),
+                  [](search::EvalPipeline::TaskId id) { return id != 0; }))
+    pipeline.run();
 
   std::vector<Json> responses;
   responses.reserve(plans.size());

@@ -65,9 +65,10 @@ struct ServiceStats {
 ///
 /// Batching: handle_batch collapses all (arch, layer) mapping-search work
 /// units across the batch — including the unique-layer expansion of
-/// evaluate_network requests — into one deduplicated task set on a task
-/// graph (search::EvalPipeline), one task per uncached search spread
-/// across the pool, then assembles responses per request in order.
+/// evaluate_network requests — into one search::EvalPipeline request: the
+/// uncached units are deduplicated and grouped by layer shape, one task per
+/// group spread across the pool, then responses are assembled per request
+/// in order.
 /// Because mapping search is deterministic per key, batched responses are
 /// bit-identical to submitting the same requests one at a time.
 ///
@@ -158,7 +159,7 @@ class EvalService : public LineHandler {
     std::string error;
     arch::ArchConfig arch;
     nn::Workload layer;
-    bool has_task = false;  ///< contributes (arch, layer) search tasks
+    bool has_task = false;  ///< contributes (arch, layer) work units
     const nn::Network* network = nullptr;  ///< owned by network_memo_
     mapping::Mapping map;
   };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -63,11 +64,13 @@ TEST(ArchEvaluatorTest, GeomeanAggregatesNetworks) {
               1e-6 * std::sqrt(a * b));
 }
 
-TEST(ArchEvaluatorTest, OneTaskPerSearchPlusOnePerCandidate) {
+TEST(ArchEvaluatorTest, OneTaskPerLayerGroupPlusOnePerCandidate) {
   // The pipeline's task structure, at any thread count: scoring K
-  // candidates that need U distinct uncached (arch, layer) searches runs
-  // exactly U search tasks plus K assembly tasks, and a best_mapping miss
-  // searches inline without building a graph.
+  // candidates whose uncached (arch, layer) searches span N distinct layer
+  // shapes runs exactly N group tasks (each draws its layer's normals once
+  // and searches every accelerator that needs the layer) plus K assembly
+  // tasks, and a best_mapping miss searches inline without building a
+  // graph.
   const cost::CostModel model;
   MappingSearchOptions mopts;
   mopts.population = 4;
@@ -77,25 +80,69 @@ TEST(ArchEvaluatorTest, OneTaskPerSearchPlusOnePerCandidate) {
   // The repeated candidate shares every unit with the first.
   const std::vector<arch::ArchConfig> archs{
       arch::nvdla_256_arch(), arch::eyeriss_arch(), arch::nvdla_256_arch()};
+  // Resident on both accelerators before scoring, so its shape runs no
+  // group task.
   const nn::Workload warm = nets[0].unique_layers().front().first;
   std::set<std::pair<std::uint64_t, std::uint64_t>> units;
+  std::set<std::uint64_t> shapes;
   for (const auto& a : archs)
     for (const auto& net : nets)
-      for (const auto& [layer, count] : net.unique_layers())
+      for (const auto& [layer, count] : net.unique_layers()) {
         units.emplace(arch_fingerprint(a), nn::LayerShapeHash{}(layer));
-  const auto uncached = static_cast<long long>(units.size()) - 1;  // `warm`
+        shapes.insert(nn::LayerShapeHash{}(layer));
+      }
+  const auto uncached = static_cast<long long>(units.size()) - 2;
+  const auto groups = static_cast<long long>(shapes.size()) - 1;
   const auto k = static_cast<long long>(archs.size());
 
   for (int threads : {1, 4}) {
     core::ThreadPool pool(threads);
     ArchEvaluator ev(model, mopts, &pool);
     ev.best_mapping(archs[0], warm);
-    EXPECT_EQ(ev.mapping_searches(), 1) << threads;
+    ev.best_mapping(archs[1], warm);
+    EXPECT_EQ(ev.mapping_searches(), 2) << threads;
     EXPECT_EQ(ev.tasks_executed(), 0) << threads;
 
     ev.evaluate_population(archs, nets);
-    EXPECT_EQ(ev.mapping_searches(), 1 + uncached) << threads;
-    EXPECT_EQ(ev.tasks_executed(), uncached + k) << threads;
+    EXPECT_EQ(ev.mapping_searches(), 2 + uncached) << threads;
+    EXPECT_EQ(ev.tasks_executed(), groups + k) << threads;
+  }
+}
+
+TEST(ArchEvaluatorTest, PopulationOfSharedLayersMatchesOneByOne) {
+  // Candidates that share layers share group tasks and normal streams.
+  // Scoring them together must still equal scoring them one by one on a
+  // fresh evaluator, bit for bit: every value, every cache entry, and every
+  // work meter except the task count.
+  const cost::CostModel model;
+  MappingSearchOptions mopts;
+  mopts.population = 6;
+  mopts.iterations = 3;
+  const std::vector<nn::Network> nets{nn::make_cifar_net(),
+                                      nn::make_squeezenet()};
+  const std::vector<arch::ArchConfig> archs{
+      arch::nvdla_256_arch(), arch::eyeriss_arch(), arch::shidiannao_arch(),
+      arch::nvdla_256_arch()};
+  for (int threads : {1, 4}) {
+    core::ThreadPool pool(threads);
+    ArchEvaluator together(model, mopts, &pool);
+    ArchEvaluator alone(model, mopts, &pool);
+    const std::vector<double> edps = together.evaluate_population(archs, nets);
+    ASSERT_EQ(edps.size(), archs.size());
+    for (std::size_t i = 0; i < archs.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(edps[i]),
+                std::bit_cast<std::uint64_t>(alone.geomean_edp(archs[i], nets)))
+          << threads << " threads, candidate " << i;
+    EXPECT_EQ(together.cost_evaluations(), alone.cost_evaluations());
+    EXPECT_EQ(together.mapping_searches(), alone.mapping_searches());
+    EXPECT_EQ(together.generations_batched(), alone.generations_batched());
+    EXPECT_EQ(together.candidates_batch_evaluated(),
+              alone.candidates_batch_evaluated());
+    EXPECT_EQ(together.cache_size(), alone.cache_size());
+    EXPECT_EQ(ResultStore::encode(together.snapshot_since(0)),
+              ResultStore::encode(alone.snapshot_since(0)))
+        << threads;
+    EXPECT_LT(together.tasks_executed(), alone.tasks_executed()) << threads;
   }
 }
 

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <utility>
 
+#include "core/rng.hpp"
 #include "core/serialize.hpp"
 
 namespace naas::search {
@@ -388,6 +390,56 @@ TEST(CmaEs, AskTellStreamMatchesRecordedDigest) {
     }
     bits.i64(cma.resample_exhausted());
     EXPECT_EQ(core::fnv1a64(bits.bytes()), expected) << "dim " << dim;
+  }
+}
+
+TEST(CmaEs, AskFromNormalsMatchesDrawnAsk) {
+  // An optimizer fed its own next normals through ask_from must match a
+  // twin that draws them in ask(), bit for bit: every sample, and the mean
+  // and step size after every update. Dims 13 (hardware genome) and 30
+  // (mapping genome); population 7 makes each generation's draw count odd
+  // at dim 13, so the Box-Muller pair carried across a generation boundary
+  // is covered too.
+  const auto fitness = [](const std::vector<double>& x) {
+    double acc = 0.0;
+    for (std::size_t d = 0; d + 1 < x.size(); ++d) {
+      const double u = x[d] + 0.5 * x[d + 1] - 0.6;
+      acc += std::pow(10.0, static_cast<double>(d % 4)) * u * u;
+    }
+    return acc;
+  };
+  for (int dim : {13, 30}) {
+    CmaEsOptions opts;
+    opts.dim = dim;
+    opts.population = 7;
+    opts.seed = 300 + static_cast<std::uint64_t>(dim);
+    CmaEs drawn(opts), fed(opts);
+    core::Rng stream(opts.seed);
+    for (int gen = 0; gen < 6; ++gen) {
+      std::vector<double> normals(
+          static_cast<std::size_t>(opts.population * dim));
+      for (double& z : normals) z = stream.normal();
+      const auto a = drawn.ask();
+      const auto b = fed.ask_from(normals);
+      ASSERT_EQ(a.size(), b.size());
+      std::vector<double> fit;
+      for (std::size_t k = 0; k < a.size(); ++k) {
+        for (std::size_t d = 0; d < a[k].size(); ++d)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k][d]),
+                    std::bit_cast<std::uint64_t>(b[k][d]))
+              << "dim " << dim << " gen " << gen << " sample " << k;
+        fit.push_back(fitness(a[k]));
+      }
+      drawn.tell(a, fit);
+      fed.tell(b, fit);
+      for (std::size_t d = 0; d < drawn.mean().size(); ++d)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(drawn.mean()[d]),
+                  std::bit_cast<std::uint64_t>(fed.mean()[d]))
+            << "dim " << dim << " gen " << gen;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(drawn.sigma()),
+                std::bit_cast<std::uint64_t>(fed.sigma()))
+          << "dim " << dim << " gen " << gen;
+    }
   }
 }
 

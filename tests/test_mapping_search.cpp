@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "arch/presets.hpp"
@@ -141,7 +142,9 @@ TEST(MappingSearch, ResultBitsMatchRecordedDigest) {
   // LLM-decode kinds) on four seeded NVDLA-256-envelope candidates, at
   // nine (population, iterations) budgets. The expected value was recorded
   // from the straightforward row-order implementation; never re-record it
-  // to make a change pass.
+  // to make a change pass. The searches run twice, drawing their own normals
+  // and reading a caller-drawn mapping_normals stream, and both runs must
+  // match it.
   const cost::CostModel model;
   const HwEncodingSpec hw = make_hw_spec(arch::nvdla_256_resources(),
                                          OrderEncoding::kImportance, true);
@@ -161,31 +164,56 @@ TEST(MappingSearch, ResultBitsMatchRecordedDigest) {
       layers.push_back(unique[i].first);
   }
 
-  core::ByteWriter bits;
-  std::uint64_t seed = 1;
-  for (int population : {4, 8, 12}) {
-    for (int iterations : {1, 4, 10}) {
-      for (const arch::ArchConfig& arch : archs) {
-        for (const nn::Workload& layer : layers) {
-          MappingSearchOptions opts;
-          opts.population = population;
-          opts.iterations = iterations;
-          opts.seed = seed++;
-          const MappingSearchResult res =
-              search_mapping(model, arch, layer, opts);
-          bits.f64(res.best_edp);
-          bits.i64(res.evaluations);
-          for (const mapping::LevelMapping* level :
-               {&res.best.dram, &res.best.pe}) {
-            for (int t : level->tile) bits.i32(t);
-            for (nn::Dim d : level->order) bits.i32(static_cast<int>(d));
+  for (const bool predrawn : {false, true}) {
+    core::ByteWriter bits;
+    std::uint64_t seed = 1;
+    for (int population : {4, 8, 12}) {
+      for (int iterations : {1, 4, 10}) {
+        for (const arch::ArchConfig& arch : archs) {
+          for (const nn::Workload& layer : layers) {
+            MappingSearchOptions opts;
+            opts.population = population;
+            opts.iterations = iterations;
+            opts.seed = seed++;
+            const MappingSearchResult res =
+                predrawn ? search_mapping(model, arch, layer, opts,
+                                          mapping_normals(opts))
+                         : search_mapping(model, arch, layer, opts);
+            bits.f64(res.best_edp);
+            bits.i64(res.evaluations);
+            for (const mapping::LevelMapping* level :
+                 {&res.best.dram, &res.best.pe}) {
+              for (int t : level->tile) bits.i32(t);
+              for (nn::Dim d : level->order) bits.i32(static_cast<int>(d));
+            }
+            for (nn::Dim d : res.best.pe_order) bits.i32(static_cast<int>(d));
           }
-          for (nn::Dim d : res.best.pe_order) bits.i32(static_cast<int>(d));
         }
       }
     }
+    EXPECT_EQ(core::fnv1a64(bits.bytes()), 0x258bd20b71331362ULL)
+        << (predrawn ? "mapping_normals stream" : "own draws");
   }
-  EXPECT_EQ(core::fnv1a64(bits.bytes()), 0x258bd20b71331362ULL);
+}
+
+TEST(MappingSearch, WrongLengthNormalsThrow) {
+  const cost::CostModel model;
+  const auto arch = arch::nvdla_256_arch();
+  const nn::Workload layer = nn::make_conv("c", 64, 128, 3, 1, 28);
+  const MappingSearchOptions opts = small_budget();
+  std::vector<double> normals = mapping_normals(opts);
+  ASSERT_EQ(normals.size(),
+            static_cast<std::size_t>(opts.iterations * opts.population *
+                                     opts.encoding.genome_size()));
+  normals.pop_back();
+  EXPECT_THROW(search_mapping(model, arch, layer, opts, normals),
+               std::invalid_argument);
+  normals.resize(normals.size() + 2, 0.0);
+  EXPECT_THROW(search_mapping(model, arch, layer, opts, normals),
+               std::invalid_argument);
+  EXPECT_THROW(
+      search_mapping(model, arch, layer, opts, std::span<const double>{}),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -285,20 +285,25 @@ TEST(EvalServiceTest, ErrorResponsesEchoRequestId) {
 TEST(EvalServiceTest, BatchedResponsesBitIdenticalToSequential) {
   // The same mixed session (valid queries, duplicates, an error in the
   // middle) submitted as one batch and one-at-a-time must produce
-  // byte-identical response lines.
+  // byte-identical response lines. cifarnet's layers are requested on two
+  // presets, so the batch runs layer groups that search two accelerators
+  // from one normal stream.
   std::vector<std::string> lines;
   for (int i = 0; i < 4; ++i)
     lines.push_back(search_line("cifarnet", i, i + 1));
   lines.push_back("garbage{");
   lines.push_back(search_line("cifarnet", 1, 99));  // duplicate shape
-  Json net_req = Json::object();
-  net_req.set("id", Json::integer(100));
-  net_req.set("method", Json::string("evaluate_network"));
-  Json arch = Json::object();
-  arch.set("preset", Json::string("nvdla256"));
-  net_req.set("arch", std::move(arch));
-  net_req.set("network", Json::string("cifarnet"));
-  lines.push_back(net_req.dump());
+  int id = 100;
+  for (const char* preset : {"nvdla256", "eyeriss"}) {
+    Json net_req = Json::object();
+    net_req.set("id", Json::integer(id++));
+    net_req.set("method", Json::string("evaluate_network"));
+    Json arch = Json::object();
+    arch.set("preset", Json::string(preset));
+    net_req.set("arch", std::move(arch));
+    net_req.set("network", Json::string("cifarnet"));
+    lines.push_back(net_req.dump());
+  }
 
   EvalService batched(tiny_options());
   const std::vector<std::string> batch_out = batched.handle_lines(lines);
