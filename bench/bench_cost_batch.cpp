@@ -432,6 +432,22 @@ void BM_CmaEsAsk(benchmark::State& state) {
 }
 BENCHMARK(BM_CmaEsAsk)->Unit(benchmark::kMicrosecond);
 
+/// BM_CmaEsAsk without Box-Muller: the same ask of 8 from one pre-drawn
+/// stream of normals, the way a layer group's searches read theirs.
+void BM_CmaEsAskFrom(benchmark::State& state) {
+  search::CmaEs cma = warmed_cma();
+  core::Rng rng(11);
+  std::vector<double> normals(
+      8 * static_cast<std::size_t>(search::MapEncodingSpec{}.genome_size()));
+  for (double& z : normals) z = rng.normal();
+  for (auto _ : state) {
+    auto pop = cma.ask_from(normals);
+    benchmark::DoNotOptimize(pop.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 8);
+}
+BENCHMARK(BM_CmaEsAskFrom)->Unit(benchmark::kMicrosecond);
+
 void BM_CmaEsTell(benchmark::State& state) {
   const search::CmaEs prepared = warmed_cma();
   search::CmaEs cma = prepared;

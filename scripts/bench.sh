@@ -31,9 +31,9 @@ run_bench() {
 # The scaling bench writes BENCH_parallel.json and BENCH_warm_start.json
 # itself, the serving bench BENCH_serve.json, the batched-cost-model bench
 # BENCH_cost_batch.json (its micro cases also time the mapping search's
-# stages: CmaEs ask/tell, decode, and search_mapping drawing its own
-# normals or sharing one stream per layer), the async-pipeline bench
-# BENCH_async.json, the
+# stages: CmaEs ask, ask_from over pre-drawn normals and tell, decode, and
+# search_mapping drawing its own normals or sharing one stream per layer),
+# the async-pipeline bench BENCH_async.json, the
 # transformer smoke BENCH_transformer.json (batch==scalar and warm
 # zero-search asserted on matmul/attention workloads), the surrogate bench
 # BENCH_surrogate.json (roofline pruning saves mapping searches with the

@@ -1,19 +1,27 @@
 #include "mapping/legality.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "mapping/footprint.hpp"
 
 namespace naas::mapping {
 namespace {
 
-/// Clamps every tile to [1, bound(d)].
-template <typename BoundFn>
-void clamp_tiles(TileSizes& tiles, BoundFn bound) {
-  for (nn::Dim d : nn::all_dims()) {
-    const int b = std::max(1, bound(d));
-    set_tile(tiles, d, std::clamp(tile_of(tiles, d), 1, b));
-  }
+constexpr std::size_t index_of(nn::Dim d) {
+  return static_cast<std::size_t>(static_cast<int>(d));
+}
+
+/// True when, with the other tiles fixed, tile_footprint is affine in tile
+/// `d` over [1, hi]. Each operand's footprint is a product of tile extents
+/// and of the halo extents (t_Y' - 1) * min(stride, t_R) + t_R and
+/// (t_X' - 1) * min(stride, t_S) + t_S, so every tile enters it linearly,
+/// except R and S once they pass the stride, where min(stride, t) stops
+/// growing.
+bool footprint_affine(const nn::Workload& layer, std::size_t d, int hi) {
+  return (d != index_of(nn::Dim::kR) && d != index_of(nn::Dim::kS)) ||
+         layer.stride >= hi;
 }
 
 }  // namespace
@@ -65,23 +73,36 @@ ShrinkPriority default_shrink_priority() {
 
 Mapping repair(Mapping m, const nn::Workload& layer,
                const arch::ArchConfig& arch, const ShrinkPriority& priority) {
+  return repair(std::move(m), layer, arch, TileBounds(layer, arch), priority);
+}
+
+Mapping repair(Mapping m, const nn::Workload& layer,
+               const arch::ArchConfig& arch, const TileBounds& bounds,
+               const ShrinkPriority& priority) {
   if (!is_valid_order(m.dram.order)) m.dram.order = default_order();
   if (!is_valid_order(m.pe.order)) m.pe.order = default_order();
   if (!is_valid_order(m.pe_order)) m.pe_order = default_order();
   const ShrinkPriority prio =
       is_valid_order(priority) ? priority : default_shrink_priority();
 
-  clamp_tiles(m.dram.tile, [&](nn::Dim d) { return layer.dim_size(d); });
-  clamp_tiles(m.pe.tile,
-              [&](nn::Dim d) { return pe_share(layer, arch, m.dram.tile, d); });
+  // Shares are at least 1, so the clamp range is never empty.
+  auto clamp_pe_tiles = [&] {
+    for (std::size_t d = 0; d < m.pe.tile.size(); ++d)
+      m.pe.tile[d] =
+          std::clamp(m.pe.tile[d], 1, bounds.share(m.dram.tile, d));
+  };
+  for (std::size_t d = 0; d < m.dram.tile.size(); ++d)
+    m.dram.tile[d] =
+        std::clamp(m.dram.tile[d], 1, std::max(1, bounds.dim[d]));
+  clamp_pe_tiles();
 
   // Halves the earliest-priority dim with tile > 1; returns false when all
   // tiles are already 1 (cannot shrink further).
   auto shrink_one = [&prio](TileSizes& tiles) {
-    for (nn::Dim d : prio) {
-      const int t = tile_of(tiles, d);
+    for (nn::Dim dim : prio) {
+      int& t = tiles[index_of(dim)];
       if (t > 1) {
-        set_tile(tiles, d, t / 2);
+        t /= 2;
         return true;
       }
     }
@@ -91,12 +112,15 @@ Mapping repair(Mapping m, const nn::Workload& layer,
   while (tile_footprint(layer, m.pe.tile).total() > arch.l1_bytes) {
     if (!shrink_one(m.pe.tile)) break;
   }
+  // Halving an L2 tile only lowers the PE shares, and clamping to a lower
+  // bound subsumes every clamp to a higher one, so one clamp after the loop
+  // leaves the PE tiles where a clamp after each halving would.
+  bool shrunk = false;
   while (tile_footprint(layer, m.dram.tile).total() > arch.l2_bytes) {
     if (!shrink_one(m.dram.tile)) break;
-    clamp_tiles(m.pe.tile, [&](nn::Dim d) {
-      return pe_share(layer, arch, m.dram.tile, d);
-    });
+    shrunk = true;
   }
+  if (shrunk) clamp_pe_tiles();
   return m;
 }
 
@@ -104,33 +128,63 @@ Mapping grow_to_fit(Mapping m, const nn::Workload& layer,
                     const arch::ArchConfig& arch,
                     const ShrinkPriority& dram_priority,
                     const ShrinkPriority& pe_priority) {
-  // Doubles tiles[d] toward bound(d) while footprint stays within cap,
-  // trying the full bound first (exact bounds avoid ceil-padding waste).
+  return grow_to_fit(std::move(m), layer, arch, TileBounds(layer, arch),
+                     dram_priority, pe_priority);
+}
+
+Mapping grow_to_fit(Mapping m, const nn::Workload& layer,
+                    const arch::ArchConfig& arch, const TileBounds& bounds,
+                    const ShrinkPriority& dram_priority,
+                    const ShrinkPriority& pe_priority) {
+  // Grows each dim of `prio` in turn toward its bound while the footprint
+  // stays within cap: to the full bound if that fits (exact bounds avoid
+  // ceil-padding waste), else to the last doubling of the current tile
+  // below the bound that fits. `fp` is the footprint of `tiles` throughout.
   auto grow = [&layer](TileSizes& tiles, const ShrinkPriority& prio,
-                       auto bound_fn, long long cap) {
-    for (nn::Dim d : prio) {
-      const int bound = std::max(1, bound_fn(d));
-      int cur = tile_of(tiles, d);
+                       auto bound_of, long long cap) {
+    long long fp = tile_footprint(layer, tiles).total();
+    for (nn::Dim dim : prio) {
+      const std::size_t d = index_of(dim);
+      const int bound = std::max(1, bound_of(d));
+      const int cur = tiles[d];
       if (cur >= bound) continue;
-      set_tile(tiles, d, bound);
-      if (tile_footprint(layer, tiles).total() <= cap) continue;
-      set_tile(tiles, d, cur);
-      while (cur < bound) {
-        const int next = std::min(bound, cur * 2);
-        set_tile(tiles, d, next);
-        if (tile_footprint(layer, tiles).total() > cap) {
-          set_tile(tiles, d, cur);
+      tiles[d] = bound;
+      const long long fp_bound = tile_footprint(layer, tiles).total();
+      if (fp_bound <= cap) {
+        fp = fp_bound;
+        continue;
+      }
+      tiles[d] = cur;
+      if (footprint_affine(layer, d, bound)) {
+        // The footprint is fp + slope * (t - cur) on [cur, bound], so `fit`
+        // is the largest tile that fits; it lies below the bound. When the
+        // current tile does not fit, neither does any doubling of it.
+        if (fp > cap) continue;
+        const long long slope = (fp_bound - fp) / (bound - cur);
+        const long long fit = cur + (cap - fp) / slope;
+        tiles[d] = cur << (std::bit_width(static_cast<unsigned long long>(
+                               fit / cur)) - 1);
+        fp += slope * (tiles[d] - cur);
+        continue;
+      }
+      // The halo bends the footprint: double one step at a time. The bound
+      // itself is already known not to fit.
+      for (int next = cur * 2; next < bound; next *= 2) {
+        tiles[d] = next;
+        const long long fp_next = tile_footprint(layer, tiles).total();
+        if (fp_next > cap) {
+          tiles[d] = next / 2;
           break;
         }
-        cur = next;
+        fp = fp_next;
       }
     }
   };
   grow(m.dram.tile, dram_priority,
-       [&](nn::Dim d) { return layer.dim_size(d); }, arch.l2_bytes);
+       [&](std::size_t d) { return bounds.dim[d]; }, arch.l2_bytes);
   // Shares only grow when dram tiles grow, so existing pe tiles stay legal.
   grow(m.pe.tile, pe_priority,
-       [&](nn::Dim d) { return pe_share(layer, arch, m.dram.tile, d); },
+       [&](std::size_t d) { return bounds.share(m.dram.tile, d); },
        arch.l1_bytes);
   return m;
 }

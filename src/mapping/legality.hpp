@@ -1,6 +1,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <string>
 
 #include "arch/accelerator.hpp"
@@ -15,14 +17,43 @@ struct LegalityReport {
   std::string reason;  ///< empty when legal
 };
 
+/// Per-PE temporal share of an L2 tile extent `t2` along a dim of size
+/// `dim` spread over `extent` PEs: ceil(clamp(t2, 1, dim) / extent), at
+/// least 1.
+inline int pe_share(int t2, int dim, int extent) {
+  return std::max(1, (std::clamp(t2, 1, dim) + extent - 1) / extent);
+}
+
 /// Per-PE temporal share along `d` after spatial partitioning of the L2
 /// tile: ceil(dram_tile[d] / parallel_extent(d)), at least 1.
 inline int pe_share(const nn::Workload& layer, const arch::ArchConfig& arch,
                     const TileSizes& dram_tile, nn::Dim d) {
-  const int t2 = std::clamp(tile_of(dram_tile, d), 1, layer.dim_size(d));
-  const int extent = arch.parallel_extent(d);
-  return std::max(1, (t2 + extent - 1) / extent);
+  return pe_share(tile_of(dram_tile, d), layer.dim_size(d),
+                  arch.parallel_extent(d));
 }
+
+/// A layer's tile bounds on one accelerator, indexed like TileSizes: the
+/// dim sizes and the parallel extents. `repair`, `grow_to_fit` and the
+/// mapping decoder build it once per call and read every tile bound and PE
+/// share from it, instead of a Workload::dim_size switch and an
+/// ArchConfig::parallel_extent scan per tile.
+struct TileBounds {
+  TileBounds(const nn::Workload& layer, const arch::ArchConfig& arch) {
+    for (nn::Dim d : nn::all_dims()) {
+      const auto i = static_cast<std::size_t>(static_cast<int>(d));
+      dim[i] = layer.dim_size(d);
+      extent[i] = arch.parallel_extent(d);
+    }
+  }
+
+  /// pe_share along dim index `i`.
+  int share(const TileSizes& dram_tile, std::size_t i) const {
+    return pe_share(dram_tile[i], dim[i], extent[i]);
+  }
+
+  std::array<int, nn::kNumDims> dim{};     ///< layer.dim_size
+  std::array<int, nn::kNumDims> extent{};  ///< arch.parallel_extent
+};
 
 /// Checks structural validity (orders are permutations, tiles within
 /// [1, bound]) and capacity (per-PE tile fits L1, L2 tile fits L2).
@@ -66,15 +97,30 @@ Mapping repair(Mapping m, const nn::Workload& layer,
                const arch::ArchConfig& arch,
                const ShrinkPriority& priority = default_shrink_priority());
 
+/// `repair` with (layer, arch)'s bounds already built; `bounds` must be
+/// TileBounds(layer, arch). The overload above builds them and forwards.
+Mapping repair(Mapping m, const nn::Workload& layer,
+               const arch::ArchConfig& arch, const TileBounds& bounds,
+               const ShrinkPriority& priority = default_shrink_priority());
+
 /// Greedily grows a legal mapping's tiles toward the buffer capacities:
 /// dims earlier in `dram_priority` / `pe_priority` are doubled first (capped
 /// at their bound) while the L2 / L1 footprints still fit. Larger tiles are
 /// never worse in the analytical model (fewer refetch phases, same L1
 /// traffic), so decoders call this to map every genome into the productive
 /// region of the tiling space; the genes retain control over *which* dims
-/// receive the buffer capacity. Requires `m` to be legal.
+/// receive the buffer capacity. Requires `m` to be legal. Each dim takes
+/// its full bound if that fits, else the last doubling cur * 2^j below the
+/// bound that fits.
 Mapping grow_to_fit(Mapping m, const nn::Workload& layer,
                     const arch::ArchConfig& arch,
+                    const ShrinkPriority& dram_priority,
+                    const ShrinkPriority& pe_priority);
+
+/// `grow_to_fit` with (layer, arch)'s bounds already built; `bounds` must
+/// be TileBounds(layer, arch). The overload above builds them and forwards.
+Mapping grow_to_fit(Mapping m, const nn::Workload& layer,
+                    const arch::ArchConfig& arch, const TileBounds& bounds,
                     const ShrinkPriority& dram_priority,
                     const ShrinkPriority& pe_priority);
 

@@ -47,25 +47,31 @@ CmaEs::CmaEs(const CmaEsOptions& options)
   chi_n_ = std::sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n));
 }
 
-void CmaEs::transform(std::vector<double>& x) const {
+template <std::size_t N>
+void CmaEs::transform(std::vector<double>* x) const {
   // Row r of L reads x[0..r] only, so walking the rows bottom-up
   // overwrites each x[r] after the last row that reads it. The strict
   // upper triangle of L is exactly zero, and a sum that starts at +0 never
   // changes by adding +-0, so summing only the lower triangle keeps every
-  // bit of the full product.
+  // bit of the full product. Each candidate keeps its own sum in that
+  // order; one pass over a row feeds all N, so their chains overlap.
+  double* v[N];
+  for (std::size_t k = 0; k < N; ++k) v[k] = x[k].data();
   for (int r = dim_ - 1; r >= 0; --r) {
     const double* l = chol_.row(r);
-    double acc = 0.0;
-    for (int c = 0; c <= r; ++c) acc += l[c] * x[static_cast<std::size_t>(c)];
-    const auto s = static_cast<std::size_t>(r);
-    x[s] = std::clamp(mean_[s] + sigma_ * acc, 0.0, 1.0);
+    double acc[N] = {};
+    for (int c = 0; c <= r; ++c)
+      for (std::size_t k = 0; k < N; ++k) acc[k] += l[c] * v[k][c];
+    const double mean = mean_[static_cast<std::size_t>(r)];
+    for (std::size_t k = 0; k < N; ++k)
+      v[k][r] = std::clamp(mean + sigma_ * acc[k], 0.0, 1.0);
   }
 }
 
 std::vector<double> CmaEs::sample_one() {
   std::vector<double> x(static_cast<std::size_t>(dim_));
   for (double& v : x) v = rng_.normal();
-  transform(x);
+  transform<1>(&x);
   return x;
 }
 
@@ -77,8 +83,12 @@ std::vector<std::vector<double>> CmaEs::ask_from(
   pop.reserve(static_cast<std::size_t>(opts_.population));
   for (std::size_t at = 0; at < normals.size(); at += dim) {
     const auto z = normals.subspan(at, dim);
-    transform(pop.emplace_back(z.begin(), z.end()));
+    pop.emplace_back(z.begin(), z.end());
   }
+  // Blocks of four candidates, then the rest one at a time.
+  std::size_t k = 0;
+  for (; k + 4 <= pop.size(); k += 4) transform<4>(&pop[k]);
+  for (; k < pop.size(); ++k) transform<1>(&pop[k]);
   return pop;
 }
 

@@ -102,9 +102,11 @@ class CmaEs {
   /// One candidate from fresh standard normals, drawn in index order.
   std::vector<double> sample_one();
 
-  /// x <- clamp(mean + sigma * L x), in place over standard normals x:
-  /// the one transform every sampling path shares.
-  void transform(std::vector<double>& x) const;
+  /// x <- clamp(mean + sigma * L x), in place over the standard normals x
+  /// of each of the N candidates x[0..N): the one transform every sampling
+  /// path shares. Each candidate's sums run in the same order for any N.
+  template <std::size_t N>
+  void transform(std::vector<double>* x) const;
 
   CmaEsOptions opts_;
   core::Rng rng_;

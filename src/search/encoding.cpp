@@ -32,19 +32,43 @@ mapping::LoopOrder with_batch_outer(const std::array<nn::Dim, 6>& inner) {
   return order;
 }
 
+/// Tile gene -> tile in [1, bound]: log_lerp(gene, 1, bound), rounded.
+/// log(1) is +0, so log_lerp's exp(log(1) + gene * (log(bound) - log(1)))
+/// is exp(+0 + p) with p = gene * log(bound), and +0 + p is p except for
+/// p = -0, where exp gives 1 either way. A bound of 1 clamps any value to 1.
+int tile_from_gene(double gene, int bound) {
+  if (bound == 1) return 1;
+  const double t = std::exp(std::clamp(gene, 0.0, 1.0) *
+                            std::log(static_cast<double>(bound)));
+  return std::clamp(static_cast<int>(std::lround(t)), 1, bound);
+}
+
 /// Indices 0..5 by descending importance, ties in index order: the result
-/// of std::stable_sort, from an in-place insertion sort. stable_sort
-/// heap-allocates a merge buffer, and this runs five times per decoded
-/// mapping.
+/// of std::stable_sort, which heap-allocates a merge buffer (this runs five
+/// times per decoded mapping). Without NaN, index i's position is the count
+/// of indices ranked before it: those with a larger importance, and those
+/// tied with it (+0 and -0 tie) at a lower index. A NaN compares false both
+/// ways, which no count reproduces, so a vector holding one takes the
+/// insertion sort.
 std::array<int, 6> rank_descending(const std::array<double, 6>& imp) {
   std::array<int, 6> idx{0, 1, 2, 3, 4, 5};
-  for (std::size_t i = 1; i < idx.size(); ++i) {
-    const int v = idx[i];
-    const double key = imp[static_cast<std::size_t>(v)];
-    std::size_t j = i;
-    for (; j > 0 && key > imp[static_cast<std::size_t>(idx[j - 1])]; --j)
-      idx[j] = idx[j - 1];
-    idx[j] = v;
+  if (std::any_of(imp.begin(), imp.end(),
+                  [](double v) { return std::isnan(v); })) {
+    for (std::size_t i = 1; i < idx.size(); ++i) {
+      const int v = idx[i];
+      const double key = imp[static_cast<std::size_t>(v)];
+      std::size_t j = i;
+      for (; j > 0 && key > imp[static_cast<std::size_t>(idx[j - 1])]; --j)
+        idx[j] = idx[j - 1];
+      idx[j] = v;
+    }
+    return idx;
+  }
+  for (std::size_t i = 0; i < imp.size(); ++i) {
+    std::size_t pos = 0;
+    for (std::size_t j = 0; j < imp.size(); ++j)
+      pos += (imp[j] > imp[i]) | ((imp[j] == imp[i]) & (j < i));
+    idx[pos] = static_cast<int>(i);
   }
   return idx;
 }
@@ -307,6 +331,7 @@ int MapEncodingSpec::genome_size() const {
 mapping::Mapping MapEncodingSpec::decode(const std::vector<double>& genome,
                                          const arch::ArchConfig& arch,
                                          const nn::Workload& layer) const {
+  const mapping::TileBounds bounds(layer, arch);
   mapping::Mapping m;
   std::size_t g = 0;
 
@@ -326,17 +351,15 @@ mapping::Mapping MapEncodingSpec::decode(const std::vector<double>& genome,
   // dims own the capacity.
   std::array<double, 6> dram_tile_genes{};
   std::array<double, 6> pe_tile_genes{};
-  auto read_tiles = [&](auto bound_fn, std::array<double, 6>& kept_genes) {
+  auto read_tiles = [&](auto bound_of, std::array<double, 6>& kept_genes) {
     mapping::TileSizes tiles{1, 1, 1, 1, 1, 1, 1};
     std::size_t i = 0;
-    for (nn::Dim d : searchable_dims()) {
+    for (nn::Dim dim : searchable_dims()) {
+      const auto d = static_cast<std::size_t>(static_cast<int>(dim));
       kept_genes[i++] = genome[g];
-      const int bound = std::max(1, bound_fn(d));
-      const double t = log_lerp(genome[g++], 1.0, static_cast<double>(bound));
-      mapping::set_tile(tiles, d,
-                        std::clamp(static_cast<int>(std::lround(t)), 1, bound));
+      tiles[d] = tile_from_gene(genome[g++], std::max(1, bound_of(d)));
     }
-    mapping::set_tile(tiles, nn::Dim::kN, layer.dim_size(nn::Dim::kN));
+    tiles[0] = bounds.dim[0];  // N
     return tiles;
   };
   // Growth priority: dims sorted by their tile gene, N last.
@@ -351,7 +374,7 @@ mapping::Mapping MapEncodingSpec::decode(const std::vector<double>& genome,
   } else {
     m.dram.order = mapping::canonical_order(fixed_dataflow);
   }
-  m.dram.tile = read_tiles([&](nn::Dim d) { return layer.dim_size(d); },
+  m.dram.tile = read_tiles([&](std::size_t d) { return bounds.dim[d]; },
                            dram_tile_genes);
 
   if (search_order) {
@@ -360,15 +383,15 @@ mapping::Mapping MapEncodingSpec::decode(const std::vector<double>& genome,
     m.pe.order = mapping::canonical_order(fixed_dataflow);
   }
   m.pe.tile = read_tiles(
-      [&](nn::Dim d) { return mapping::pe_share(layer, arch, m.dram.tile, d); },
+      [&](std::size_t d) { return bounds.share(m.dram.tile, d); },
       pe_tile_genes);
 
   m.pe_order = search_order ? read_order()
                             : mapping::canonical_order(fixed_dataflow);
 
-  m = mapping::repair(std::move(m), layer, arch);
+  m = mapping::repair(std::move(m), layer, arch, bounds);
   if (!grow_tiles) return m;
-  return mapping::grow_to_fit(std::move(m), layer, arch,
+  return mapping::grow_to_fit(std::move(m), layer, arch, bounds,
                               growth_priority(dram_tile_genes),
                               growth_priority(pe_tile_genes));
 }

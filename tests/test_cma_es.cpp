@@ -399,7 +399,9 @@ TEST(CmaEs, AskFromNormalsMatchesDrawnAsk) {
   // and step size after every update. Dims 13 (hardware genome) and 30
   // (mapping genome); population 7 makes each generation's draw count odd
   // at dim 13, so the Box-Muller pair carried across a generation boundary
-  // is covered too.
+  // is covered too. ask_from transforms candidates in blocks of four:
+  // population 8 is two full blocks, 7 a block and three left over, and 3
+  // no full block.
   const auto fitness = [](const std::vector<double>& x) {
     double acc = 0.0;
     for (std::size_t d = 0; d + 1 < x.size(); ++d) {
@@ -408,10 +410,12 @@ TEST(CmaEs, AskFromNormalsMatchesDrawnAsk) {
     }
     return acc;
   };
-  for (int dim : {13, 30}) {
+  for (const auto& [dim, population] :
+       {std::pair{13, 7}, std::pair{30, 7}, std::pair{30, 8},
+        std::pair{13, 3}}) {
     CmaEsOptions opts;
     opts.dim = dim;
-    opts.population = 7;
+    opts.population = population;
     opts.seed = 300 + static_cast<std::uint64_t>(dim);
     CmaEs drawn(opts), fed(opts);
     core::Rng stream(opts.seed);
@@ -427,7 +431,8 @@ TEST(CmaEs, AskFromNormalsMatchesDrawnAsk) {
         for (std::size_t d = 0; d < a[k].size(); ++d)
           ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k][d]),
                     std::bit_cast<std::uint64_t>(b[k][d]))
-              << "dim " << dim << " gen " << gen << " sample " << k;
+              << "dim " << dim << " population " << population << " gen "
+              << gen << " sample " << k;
         fit.push_back(fitness(a[k]));
       }
       drawn.tell(a, fit);
