@@ -518,9 +518,9 @@ void BM_SearchMapping(benchmark::State& state) {
 }
 BENCHMARK(BM_SearchMapping)->Unit(benchmark::kMillisecond);
 
-/// BM_SearchMapping's 154 searches the way EvalPipeline runs them: one
-/// mapping_normals stream per layer, drawn once and read by the searches
-/// of both accelerators.
+/// BM_SearchMapping's 154 searches the way ArchEvaluator::fill runs them:
+/// one mapping_normals stream per layer, drawn once and read by the
+/// searches of both accelerators.
 void BM_SearchMappingSharedNormals(benchmark::State& state) {
   const StageUnits units = stage_units(2);
   const cost::CostModel model;

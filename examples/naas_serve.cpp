@@ -387,11 +387,6 @@ int main(int argc, char** argv) {
                service.evaluator().generations_batched(),
                service.evaluator().candidates_batch_evaluated(),
                service.cost_backend_name());
-  std::fprintf(stderr, "serve: pipeline ran %lld graph tasks\n",
-               service.evaluator().tasks_executed());
-  std::fprintf(stderr, "serve: surrogate: %lld consults, %lld pruned\n",
-               service.evaluator().surrogate_consults(),
-               service.evaluator().surrogate_pruned());
   std::fprintf(stderr,
                "serve: robustness: %lld shed, %lld timed out, %lld protocol "
                "rejects; store refresh retries: %lld\n",

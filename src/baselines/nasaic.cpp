@@ -6,7 +6,6 @@
 
 #include "arch/presets.hpp"
 #include "core/serialize.hpp"
-#include "core/task_graph.hpp"
 #include "core/thread_pool.hpp"
 #include "mapping/canonical.hpp"
 #include "search/encoding.hpp"
@@ -126,7 +125,6 @@ NasaicResult run_nasaic(const cost::CostModel& model, const nn::Network& net,
 
   std::vector<NasaicResult> scored(grid.size());
   core::ThreadPool pool(options.num_threads);
-  core::TaskGraph graph(&pool);
   const auto score_point = [&](std::size_t i) {
     scored[i].edp = std::numeric_limits<double>::infinity();
     const Candidate& c = grid[i];
@@ -160,12 +158,9 @@ NasaicResult run_nasaic(const cost::CostModel& model, const nn::Network& net,
     r.layers_on_shi = on_shi;
     scored[i] = r;
   };
-  // Grid points are independent tasks with slot-keyed results; the argmin
-  // below reduces in grid order, so the outcome is identical for any
-  // scheduling (and to the old parallel_for fan-out this replaces).
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    graph.submit([&score_point, i] { score_point(i); });
-  graph.run();
+  // Grid points are independent with slot-keyed results; the argmin below
+  // reduces in grid order, so the outcome is identical for any scheduling.
+  pool.parallel_for(grid.size(), score_point);
 
   for (const NasaicResult& r : scored) {
     if (r.edp < best.edp) best = r;

@@ -19,17 +19,9 @@ struct Scored {
   nn::OfaConfig cfg;
   double accuracy = 0;
   double edp = std::numeric_limits<double>::infinity();
-  /// Config fingerprint (the edp_cache key), kept as the sort tie-breaker:
-  /// selection must order equal-EDP members identically whether a
-  /// neighbor carries a measured cost or a surrogate bound, or the two
-  /// surrogate modes could breed different children from tied parents.
+  /// Config fingerprint (the edp_cache key), the sort tie-breaker: equal-EDP
+  /// members order the same way whatever order the sort meets them in.
   std::uint64_t fp = 0;
-  /// EDP is the surrogate lower bound, not a measured cost. The member may
-  /// occupy a population slot, but before it can breed — rank inside the
-  /// parent set — it must be rescued (evaluated for real; see the rescue
-  /// fixpoint in evolve_subnet), and it must never be reported as the
-  /// evolution's best.
-  bool pruned = false;
 };
 
 }  // namespace
@@ -60,26 +52,7 @@ SubnetResult evolve_subnet(search::ArchEvaluator& evaluator,
     s.fp = key;
     auto it = edp_cache.find(key);
     if (it == edp_cache.end()) {
-      const nn::Network net = space.to_network(s.cfg);
-      // Surrogate gate: a subnet whose exact lower bound already exceeds
-      // both the caller's best and this evolution's best can score the
-      // bound without paying for its mapping searches — it could never
-      // have become the returned best either way.
-      const double admission =
-          std::min(options.surrogate_admission, best.edp);
-      if (options.surrogate == search::SurrogateMode::kPrune &&
-          std::isfinite(admission)) {
-        const double lb =
-            search::surrogate_network_edp_bound(evaluator.model(), arch, net);
-        const bool prune = lb > admission;
-        evaluator.note_surrogate_consult(prune);
-        if (prune) {
-          s.edp = lb;
-          s.pruned = true;
-          return s;  // uncached: a lower admission later may re-admit it
-        }
-      }
-      const auto nc = evaluator.evaluate(arch, net);
+      const auto nc = evaluator.evaluate(arch, space.to_network(s.cfg));
       it = edp_cache.emplace(key, nc.legal ? nc.edp : s.edp).first;
     }
     s.edp = it->second;
@@ -105,7 +78,7 @@ SubnetResult evolve_subnet(search::ArchEvaluator& evaluator,
   }
 
   auto update_best = [&best](const Scored& s) {
-    if (!s.pruned && s.edp < best.edp) {
+    if (s.edp < best.edp) {
       best.edp = s.edp;
       best.config = s.cfg;
       best.accuracy = s.accuracy;
@@ -118,44 +91,13 @@ SubnetResult evolve_subnet(search::ArchEvaluator& evaluator,
     if (a.edp != b.edp) return a.edp < b.edp;
     return a.fp < b.fp;  // total order; see Scored::fp
   };
-  // Rank-fidelity rescue for surrogate pruning: any pruned member ranked
-  // inside the parent set by its lower bound is evaluated for real before
-  // selection. At the fixpoint every surviving bound is strictly worse
-  // than the worst parent, so — the bound being a true lower bound — the
-  // parent set and its order are exactly what measured costs would have
-  // produced, and the evolution's trajectory matches surrogate-off
-  // breeding for breeding. The saved evaluations are precisely the pruned
-  // members that provably never breed.
-  const auto rescue_parents = [&](std::vector<Scored>& pop,
-                                  int parent_count) {
-    if (options.surrogate != search::SurrogateMode::kPrune) return;
-    for (bool changed = true; changed;) {
-      changed = false;
-      const std::size_t limit =
-          std::min<std::size_t>(static_cast<std::size_t>(parent_count),
-                                pop.size());
-      for (std::size_t i = 0; i < limit; ++i) {
-        if (!pop[i].pruned) continue;
-        const auto nc = evaluator.evaluate(arch, space.to_network(pop[i].cfg));
-        pop[i].edp =
-            nc.legal ? nc.edp : std::numeric_limits<double>::infinity();
-        pop[i].pruned = false;
-        edp_cache[pop[i].fp] = pop[i].edp;
-        update_best(pop[i]);
-        changed = true;
-      }
-      if (changed) std::sort(pop.begin(), pop.end(), by_edp);
-    }
-  };
   for (int iter = 0; iter < options.iterations; ++iter) {
     std::sort(population.begin(), population.end(), by_edp);
-    const int parents =
-        std::max(2, static_cast<int>(population.size()) / 2);
-    rescue_parents(population, parents);
-    std::vector<Scored> next(population.begin(),
-                             population.begin() + std::min<std::size_t>(
-                                                      parents,
-                                                      population.size()));
+    // Parents are drawn from the best half, at least two, but never from
+    // past the end: a floor that few samples meet can leave fewer than two.
+    const int size = static_cast<int>(population.size());
+    const int parents = std::min(size, std::max(2, size / 2));
+    std::vector<Scored> next(population.begin(), population.begin() + parents);
     while (static_cast<int>(next.size()) < options.population) {
       const Scored& pa =
           population[static_cast<std::size_t>(rng.index(parents))];
@@ -217,11 +159,8 @@ CoSearchResult run_cosearch(const cost::CostModel& model,
            seed.parallel_dims[0] == hw.fixed_parallel_dims[0] &&
            seed.parallel_dims[1] == hw.fixed_parallel_dims[1]);
       if (connectivity_ok && options.resources.allows(seed)) {
-        SubnetEvolutionOptions sub = options.subnet;
-        sub.surrogate = options.surrogate;
-        sub.surrogate_admission = result.best_edp;
         const SubnetResult sr =
-            evolve_subnet(evaluator, seed, space, predictor, sub);
+            evolve_subnet(evaluator, seed, space, predictor, options.subnet);
         if (sr.edp < result.best_edp) {
           result.best_edp = sr.edp;
           result.best_arch = seed;
@@ -236,29 +175,29 @@ CoSearchResult run_cosearch(const cost::CostModel& model,
 
   for (int iter = 0; iter < options.hw_iterations; ++iter) {
     const auto population = cma.ask(is_valid);
+    std::vector<arch::ArchConfig> configs;
+    configs.reserve(population.size());
+    for (const auto& genome : population) configs.push_back(hw.decode(genome));
+    // One evolution per feasible candidate, all at once: each depends only
+    // on its accelerator and its seed, and each writes its own slot.
+    std::vector<SubnetResult> found(configs.size());
+    pool.parallel_for(configs.size(), [&](std::size_t k) {
+      found[k].edp = std::numeric_limits<double>::infinity();
+      if (!options.resources.allows(configs[k])) return;
+      SubnetEvolutionOptions sub = options.subnet;
+      sub.seed = options.subnet.seed + 7919 * (iter + 1) + k;
+      found[k] = evolve_subnet(evaluator, configs[k], space, predictor, sub);
+    });
     std::vector<double> fitness;
-    fitness.reserve(population.size());
-    for (std::size_t k = 0; k < population.size(); ++k) {
-      const arch::ArchConfig cfg = hw.decode(population[k]);
-      double edp = std::numeric_limits<double>::infinity();
-      if (options.resources.allows(cfg)) {
-        SubnetEvolutionOptions sub = options.subnet;
-        sub.seed = options.subnet.seed + 7919 * (iter + 1) + k;
-        sub.surrogate = options.surrogate;
-        // The running cross-candidate best admits: a subnet whose bound on
-        // this accelerator already loses to it can be skipped outright.
-        sub.surrogate_admission = result.best_edp;
-        const SubnetResult sr =
-            evolve_subnet(evaluator, cfg, space, predictor, sub);
-        edp = sr.edp;
-        if (edp < result.best_edp) {
-          result.best_edp = edp;
-          result.best_arch = cfg;
-          result.best_net = sr.config;
-          result.best_accuracy = sr.accuracy;
-        }
+    fitness.reserve(found.size());
+    for (std::size_t k = 0; k < found.size(); ++k) {
+      fitness.push_back(found[k].edp);
+      if (found[k].edp < result.best_edp) {
+        result.best_edp = found[k].edp;
+        result.best_arch = configs[k];
+        result.best_net = found[k].config;
+        result.best_accuracy = found[k].accuracy;
       }
-      fitness.push_back(edp);
     }
     cma.tell(population, fitness);
   }
@@ -268,9 +207,6 @@ CoSearchResult run_cosearch(const cost::CostModel& model,
   result.mapping_searches = evaluator.mapping_searches();
   result.generations_batched = evaluator.generations_batched();
   result.candidates_batch_evaluated = evaluator.candidates_batch_evaluated();
-  result.tasks_executed = evaluator.tasks_executed();
-  result.surrogate_consults = evaluator.surrogate_consults();
-  result.surrogate_pruned = evaluator.surrogate_pruned();
   result.wall_seconds = timer.seconds();
   return result;
 }

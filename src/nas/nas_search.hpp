@@ -1,7 +1,5 @@
 #pragma once
 
-#include <limits>
-
 #include "arch/resources.hpp"
 #include "nn/accuracy_model.hpp"
 #include "nn/ofa_space.hpp"
@@ -24,21 +22,6 @@ struct SubnetEvolutionOptions {
   /// space of NHAS [12] (per-layer channels + quantization on a fixed
   /// topology) for the Fig. 10 comparison.
   bool width_and_expand_only = false;
-  /// Analytical surrogate pruning of subnet EDP evaluations (see
-  /// NaasOptions::surrogate): under kPrune, a subnet whose roofline lower
-  /// bound on this accelerator already exceeds the admission threshold
-  /// (the better of surrogate_admission and the evolution's own running
-  /// best) scores the bound instead of paying for its mapping searches.
-  /// Before any selection, pruned members ranked inside the parent set by
-  /// their bound are rescued (evaluated for real), so the parents — and
-  /// with them the whole breeding trajectory and the returned best — match
-  /// kOff exactly; only members that provably never breed keep the bound.
-  /// kOff (default) consults no bounds and preserves legacy behavior.
-  search::SurrogateMode surrogate = search::SurrogateMode::kOff;
-  /// External admission threshold for surrogate pruning — the caller's
-  /// best-known EDP before this evolution starts (run_cosearch passes its
-  /// running cross-candidate best). +inf disables the external bound.
-  double surrogate_admission = std::numeric_limits<double>::infinity();
 };
 
 /// Best subnet found for one accelerator candidate.
@@ -72,19 +55,16 @@ struct CoSearchOptions {
   bool seed_baseline = true;
   search::MappingSearchOptions mapping;
   SubnetEvolutionOptions subnet;
-  /// Evaluation threads for the shared ArchEvaluator (the subnet evolution
-  /// itself is inherently sequential — each generation's parents depend on
-  /// the previous scores — but every EDP query fans its mapping searches
-  /// out across the pool). 0 => hardware default, 1 => serial.
+  /// Threads of the pool the co-search runs on. Each generation's subnet
+  /// evolutions run concurrently, one per accelerator candidate, and every
+  /// EDP query fans its mapping searches out across the same pool. Results
+  /// are bit-identical for every value. 0 => hardware default, 1 =>
+  /// serial, in candidate order.
   int num_threads = 0;
   /// Persistent mapping-result store (see NaasOptions::cache_path): loaded
   /// before the co-search, flushed after it unless cache_readonly.
   std::string cache_path;
   bool cache_readonly = false;
-  /// Surrogate pruning mode, propagated into every subnet evolution (the
-  /// running cross-candidate best EDP becomes the external admission
-  /// threshold). See SubnetEvolutionOptions::surrogate.
-  search::SurrogateMode surrogate = search::SurrogateMode::kOff;
   /// Cost-kernel backend override (see NaasOptions::cost_backend).
   std::optional<cost::BackendKind> cost_backend;
 };
@@ -100,18 +80,12 @@ struct CoSearchResult {
   /// Batched-cost-model meters (see ArchEvaluator::generations_batched).
   long long generations_batched = 0;
   long long candidates_batch_evaluated = 0;
-  /// Scheduler work meter (see ArchEvaluator::tasks_executed): task-graph
-  /// tasks run by the shared evaluator's pipelines.
-  long long tasks_executed = 0;
   /// Always 0. Kept only because the frozen benchmark source
-  /// (naasbench/src/search_workloads.cpp) still reads them.
+  /// (naasbench/src/search_workloads.cpp) still reads them; drop them with
+  /// the next benchmark change.
+  long long tasks_executed = 0;
   long long speculative_hits = 0;
   long long speculative_wasted = 0;
-  /// Surrogate-pruning meters (see CoSearchOptions::surrogate): bound
-  /// consultations across every subnet evolution, and the subnet
-  /// evaluations they pruned. Both 0 under kOff.
-  long long surrogate_consults = 0;
-  long long surrogate_pruned = 0;
   /// Entries warm-started from CoSearchOptions::cache_path.
   long long store_entries_loaded = 0;
   /// Resolved cost-kernel backend (see NaasResult::cost_backend).
@@ -124,6 +98,12 @@ struct CoSearchResult {
 /// network (with per-layer mapping search inside); the subnet's EDP is the
 /// accelerator's reward. Returns the best matched (accelerator, network,
 /// mapping) tuple.
+///
+/// The seed design's evolution runs first; then each generation's
+/// evolutions run under one pool.parallel_for and the best is folded in
+/// candidate order. An evolution depends only on its (accelerator, seed),
+/// and every cached mapping result is a pure function of its key, so the
+/// result and the work meters are bit-identical for any thread count.
 CoSearchResult run_cosearch(const cost::CostModel& model,
                             const CoSearchOptions& options);
 

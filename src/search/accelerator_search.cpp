@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "core/serialize.hpp"
 #include "core/stats.hpp"
 #include "core/timer.hpp"
 #include "search/cma_es.hpp"
-#include "search/eval_pipeline.hpp"
 
 namespace naas::search {
 namespace {
@@ -104,26 +103,6 @@ const MappingSearchResult& ArchEvaluator::publish(
   return entry;
 }
 
-void ArchEvaluator::absorb_scheduler_stats(
-    const core::TaskGraph::Stats& delta) {
-  std::lock_guard<std::mutex> lk(sched_mutex_);
-  sched_stats_.tasks_executed += delta.tasks_executed;
-  sched_stats_.tasks_skipped += delta.tasks_skipped;
-  sched_stats_.busy_seconds += delta.busy_seconds;
-  sched_stats_.wall_seconds += delta.wall_seconds;
-  sched_stats_.workers = std::max(sched_stats_.workers, delta.workers);
-}
-
-long long ArchEvaluator::tasks_executed() const {
-  std::lock_guard<std::mutex> lk(sched_mutex_);
-  return sched_stats_.tasks_executed;
-}
-
-core::TaskGraph::Stats ArchEvaluator::scheduler_stats() const {
-  std::lock_guard<std::mutex> lk(sched_mutex_);
-  return sched_stats_;
-}
-
 const MappingSearchResult& ArchEvaluator::best_mapping(
     const arch::ArchConfig& arch, const nn::Workload& layer) {
   const std::uint64_t key = cache_key(arch, layer);
@@ -141,7 +120,7 @@ cost::NetworkCost ArchEvaluator::assemble_network(const arch::ArchConfig& arch,
       arch, net,
       [this](const arch::ArchConfig& a, const nn::Workload& l) {
         const MappingSearchResult* r = find_cached(a, l);
-        if (r == nullptr) r = &best_mapping(a, l);  // unreachable when piped
+        if (r == nullptr) r = &best_mapping(a, l);  // unreachable after fill
         if (!std::isfinite(r->best_edp)) {
           cost::CostReport rep;
           rep.legal = false;
@@ -164,22 +143,60 @@ double ArchEvaluator::assembled_geomean(
   return core::geomean(edps);
 }
 
+void ArchEvaluator::fill(std::span<const WorkUnit> units) {
+  /// The uncached units of one layer shape: (cache key, arch) per
+  /// accelerator, in first-appearance order.
+  struct Group {
+    const nn::Workload* layer;
+    std::vector<std::pair<std::uint64_t, const arch::ArchConfig*>> members;
+  };
+  std::vector<Group> groups;
+  std::unordered_map<std::uint64_t, std::size_t> group_of_shape;
+  std::unordered_set<std::uint64_t> queued;
+  for (const WorkUnit& unit : units) {
+    const std::uint64_t key = cache_key(*unit.arch, *unit.layer);
+    if (cache_.find(key) != nullptr || !queued.insert(key).second) continue;
+    const auto [g, new_shape] = group_of_shape.try_emplace(
+        nn::LayerShapeHash{}(*unit.layer), groups.size());
+    if (new_shape) groups.push_back({unit.layer, {}});
+    groups[g->second].members.emplace_back(key, unit.arch);
+  }
+  const auto search_group = [&](std::size_t g) {
+    const Group& group = groups[g];
+    const MappingSearchOptions options = layer_options(*group.layer);
+    const std::vector<double> normals = mapping_normals(options);
+    for (const auto& [key, arch] : group.members)
+      publish(key, search_mapping(model_, *arch, *group.layer, options,
+                                  normals));
+  };
+  if (pool_ != nullptr) {
+    pool_->parallel_for(groups.size(), search_group);
+  } else {
+    for (std::size_t g = 0; g < groups.size(); ++g) search_group(g);
+  }
+}
+
+void ArchEvaluator::fill_benchmarks(std::span<const arch::ArchConfig> archs,
+                                    std::span<const nn::Network> networks) {
+  std::vector<std::vector<std::pair<nn::Workload, int>>> layers;
+  layers.reserve(networks.size());
+  for (const nn::Network& net : networks) layers.push_back(net.unique_layers());
+  std::vector<WorkUnit> units;
+  for (const arch::ArchConfig& arch : archs)
+    for (const auto& net_layers : layers)
+      for (const auto& [layer, count] : net_layers)
+        units.push_back({&arch, &layer});
+  fill(units);
+}
+
 cost::NetworkCost ArchEvaluator::evaluate(const arch::ArchConfig& arch,
                                           const nn::Network& net) {
-  {
-    // Fill phase: one search task per unique layer shape not yet resident,
-    // all on one graph. Skipped entirely on a fully warm cache.
-    EvalPipeline pipeline(*this);
-    if (!pipeline.request_benchmarks({&arch, 1}, {&net, 1}).front().empty())
-      pipeline.run();
-  }
+  fill_benchmarks({&arch, 1}, {&net, 1});
   return assemble_network(arch, net);
 }
 
 double ArchEvaluator::geomean_edp(const arch::ArchConfig& arch,
                                   const std::vector<nn::Network>& benchmarks) {
-  // The one-candidate case of evaluate_population: every benchmark's layer
-  // searches fill on one graph (no per-network quiesce barrier).
   return evaluate_population(std::span<const arch::ArchConfig>(&arch, 1),
                              benchmarks)
       .front();
@@ -188,23 +205,11 @@ double ArchEvaluator::geomean_edp(const arch::ArchConfig& arch,
 std::vector<double> ArchEvaluator::evaluate_population(
     std::span<const arch::ArchConfig> archs,
     const std::vector<nn::Network>& benchmarks) {
-  std::vector<double> edps(archs.size(),
-                           std::numeric_limits<double>::infinity());
-  if (archs.empty()) return edps;
-  // One graph: every candidate's unique (arch, layer) searches —
-  // deduplicated across the whole population, one task per layer shape —
-  // plus a per-candidate assembly task that becomes ready the moment
-  // exactly its own layers are resident.
-  EvalPipeline pipeline(*this);
-  const auto deps = pipeline.request_benchmarks(archs, benchmarks);
-  for (std::size_t i = 0; i < archs.size(); ++i) {
-    pipeline.graph().submit(
-        [this, archs, &benchmarks, &edps, i] {
-          edps[i] = assembled_geomean(archs[i], benchmarks);
-        },
-        deps[i]);
-  }
-  pipeline.run();
+  fill_benchmarks(archs, benchmarks);
+  std::vector<double> edps;
+  edps.reserve(archs.size());
+  for (const arch::ArchConfig& arch : archs)
+    edps.push_back(assembled_geomean(arch, benchmarks));
   return edps;
 }
 
@@ -254,217 +259,21 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
   const auto is_valid = [&hw](const std::vector<double>& genome) {
     return hw.valid(genome);
   };
-
-  // The whole evolution — seed scoring and every generation — lives on ONE
-  // task graph. Candidates report fitness through CmaEs::tell_partial as
-  // they finish; the report that completes a generation schedules the next
-  // one from inside its own task, so there is no join anywhere between the
-  // start of the search and quiescence.
-  EvalPipeline pipeline(evaluator);
-  core::TaskGraph& graph = pipeline.graph();
-  const core::TaskGraph::TaskId evolution_done = graph.make_promise();
-
-  /// Cross-task state of the outer evolution. `mutex` serializes fitness
-  /// reporting (tell_partial) and the generation bookkeeping; per-slot
-  /// writes are distinct, so the lock guards the optimizer, not the data.
-  struct Outer {
-    std::mutex mutex;
-    std::vector<arch::ArchConfig> configs;  ///< current generation decodes
-    std::vector<double> edps;               ///< per-genome fitness slots
-    int iter = 0;
-    /// Admitted (fully evaluated) genomes still outstanding this
-    /// generation; when the count hits zero the deferred surrogate-prune
-    /// decisions resolve against the generation's mu-th-best fitness.
-    std::size_t admitted_pending = 0;
-    /// Deferred surrogate candidates: (slot, lower bound) for genomes whose
-    /// bound exceeded the admission threshold. They report only after the
-    /// admitted results are in (see resolve_pruned_locked).
-    std::vector<std::pair<std::size_t, double>> pruned;
-  } outer;
-
-  std::function<void()> start_generation;  // assigned below; tasks recurse
-
-  // Runs under outer.mutex, from the tell_partial call that filled the
-  // generation's last slot: fold the generation into the running best (in
-  // genome order, matching the barrier engine's tie-breaking exactly),
-  // record the convergence statistics, and schedule the next generation.
-  const auto generation_complete = [&] {
-    std::vector<double> finite_edps;
-    for (std::size_t k = 0; k < outer.edps.size(); ++k) {
-      const double edp = outer.edps[k];
-      if (std::isfinite(edp)) {
-        finite_edps.push_back(edp);
-        if (edp < result.best_geomean_edp) {
-          result.best_geomean_edp = edp;
-          result.best_arch = outer.configs[k];
-        }
+  // Folds scored designs into the running best in candidate order (the
+  // first of equal EDPs wins).
+  const auto fold_best = [&](std::span<const arch::ArchConfig> archs,
+                             std::span<const double> edps) {
+    for (std::size_t i = 0; i < archs.size(); ++i) {
+      if (std::isfinite(edps[i]) && edps[i] < result.best_geomean_edp) {
+        result.best_geomean_edp = edps[i];
+        result.best_arch = archs[i];
       }
     }
-    result.population_mean_edp.push_back(core::mean(finite_edps));
-    result.population_best_edp.push_back(
-        finite_edps.empty()
-            ? std::numeric_limits<double>::infinity()
-            : *std::min_element(finite_edps.begin(), finite_edps.end()));
-    ++outer.iter;
-    if (outer.iter < options.iterations) {
-      start_generation();
-    } else {
-      graph.fulfill(evolution_done);
-    }
-  };
-
-  // Fitness report for genome `k`; the completing report runs the
-  // generation bookkeeping inline (continuation style, no join).
-  const auto report_locked = [&](std::size_t k, double edp) {
-    outer.edps[k] = edp;
-    if (cma.tell_partial(k, edp)) generation_complete();
-  };
-  const auto report = [&](std::size_t k, double edp) {
-    std::lock_guard<std::mutex> lk(outer.mutex);
-    report_locked(k, edp);
-  };
-
-  // Requests the layer searches of genomes `slots` as one batch (one task
-  // per layer shape) and submits each genome's assembly task, gated on
-  // exactly its own searches. Pure assembly: every key is resident when it
-  // runs, so no pipeline is needed there. `report_fn` is a named callable
-  // of this scope, alive until the graph drains. Runs under outer.mutex.
-  const auto submit_assemblies = [&](const std::vector<std::size_t>& slots,
-                                     const auto& report_fn) {
-    std::vector<arch::ArchConfig> archs;
-    archs.reserve(slots.size());
-    for (const std::size_t k : slots) archs.push_back(outer.configs[k]);
-    const auto deps = pipeline.request_benchmarks(archs, benchmarks);
-    for (std::size_t j = 0; j < slots.size(); ++j) {
-      graph.submit(
-          [&outer, &evaluator, &benchmarks, &report_fn, k = slots[j]] {
-            report_fn(
-                k, evaluator.assembled_geomean(outer.configs[k], benchmarks));
-          },
-          deps[j]);
-    }
-  };
-
-  // Resolves this generation's deferred surrogate candidates once every
-  // admitted genome has reported. CmaEs::tell is rank-only (see
-  // CmaEs::parents), so a pruned candidate may keep its lower bound as
-  // fitness exactly when the bound is strictly worse than the generation's
-  // mu-th best reported fitness: the candidate then sits outside the parent
-  // set under either its bound or its (>= bound) true cost, and the
-  // distribution update is bit-identical to surrogate-off. A bound that is
-  // not strictly worse could re-rank the parents, so that candidate is
-  // rescued — evaluated for real like any admitted genome. Every input here
-  // (the reported fitness vector, the bounds, mu) is deterministic, so the
-  // kept/rescued split — and with it every meter — is thread-count and
-  // schedule independent. Runs under outer.mutex.
-  const auto resolve_pruned_locked = [&] {
-    if (outer.pruned.empty()) return;
-    std::vector<std::pair<std::size_t, double>> pruned;
-    pruned.swap(outer.pruned);
-    std::vector<char> deferred(outer.edps.size(), 0);
-    for (const auto& [k, lb] : pruned) deferred[k] = 1;
-    std::vector<double> reported;
-    reported.reserve(outer.edps.size());
-    for (std::size_t k = 0; k < outer.edps.size(); ++k)
-      if (!deferred[k]) reported.push_back(outer.edps[k]);
-    const std::size_t mu = std::min<std::size_t>(
-        static_cast<std::size_t>(cma.parents()), outer.edps.size());
-    double threshold = std::numeric_limits<double>::infinity();
-    if (mu > 0 && reported.size() >= mu) {
-      std::nth_element(reported.begin(),
-                       reported.begin() + static_cast<std::ptrdiff_t>(mu - 1),
-                       reported.end());
-      threshold = reported[mu - 1];
-    }
-    std::vector<std::size_t> rescued;
-    for (const auto& [k, lb] : pruned) {
-      const bool keep = lb > threshold;
-      evaluator.note_surrogate_consult(keep);
-      if (keep) {
-        // Outside the parent set and above the admission threshold: its
-        // mapping searches can change neither the distribution update nor
-        // the returned best. The bound stands in as its fitness.
-        report_locked(k, lb);
-      } else {
-        rescued.push_back(k);
-      }
-    }
-    submit_assemblies(rescued, report);
-  };
-
-  // Fitness report from an admitted genome's assembly task; the last one
-  // triggers the deferred prune resolution above. Resolution runs BEFORE
-  // this slot's tell_partial: the threshold must see this fitness, and the
-  // kept/rescued reports must land while this slot still holds the
-  // generation open (tell_partial completing the generation recurses into
-  // the next one, which would repoint outer.pruned).
-  const auto report_admitted = [&](std::size_t k, double edp) {
-    std::lock_guard<std::mutex> lk(outer.mutex);
-    outer.edps[k] = edp;
-    if (--outer.admitted_pending == 0) resolve_pruned_locked();
-    if (cma.tell_partial(k, edp)) generation_complete();
-  };
-
-  // Samples a generation, submits one assembly task per admitted genome
-  // (gated on exactly its layer searches), and reports infeasible genomes
-  // immediately. Surrogate-deferred genomes resolve when the admitted
-  // results are in. Called with outer.mutex held.
-  start_generation = [&] {
-    const auto& population = cma.begin_generation(is_valid);
-    const std::size_t lambda = population.size();
-    outer.configs.assign(lambda, arch::ArchConfig{});
-    outer.edps.assign(lambda, std::numeric_limits<double>::infinity());
-    // Admission threshold of this generation's surrogate gate: the best
-    // geomean EDP known when the generation starts. Generation starts are
-    // structural (the completing report of the previous generation, or the
-    // seed finalize), so the threshold — and the pruned set — is identical
-    // for every thread count.
-    const double admission = result.best_geomean_edp;
-    std::vector<std::size_t> infeasible;
-    std::vector<std::size_t> admitted;
-    outer.pruned.clear();
-    for (std::size_t k = 0; k < lambda; ++k) {
-      outer.configs[k] = hw.decode(population[k]);
-      if (!options.resources.allows(outer.configs[k])) {
-        infeasible.push_back(k);
-        continue;
-      }
-      if (options.surrogate == SurrogateMode::kPrune &&
-          std::isfinite(admission)) {
-        const double lb = surrogate_geomean_edp_bound(
-            backend_model, outer.configs[k], benchmarks);
-        if (lb > admission) {
-          // The bound is exact, so this candidate's true geomean EDP is at
-          // least `lb` > the best already found: paying for its mapping
-          // searches cannot change the returned design. Whether it may
-          // also skip them without perturbing the distribution update is
-          // decided against the generation's parent ranks once the
-          // admitted results are in (resolve_pruned_locked); the consult
-          // meter is noted there, with the final verdict.
-          outer.pruned.emplace_back(k, lb);
-          continue;
-        }
-        evaluator.note_surrogate_consult(false);
-      }
-      admitted.push_back(k);
-    }
-    outer.admitted_pending = admitted.size();
-    submit_assemblies(admitted, report_admitted);
-    // Infeasible genomes cost nothing to score; reporting them last keeps
-    // a generation with no admitted candidate correct (the final report
-    // completes the generation and recurses into the next one right here).
-    for (const std::size_t k : infeasible)
-      report_locked(k, std::numeric_limits<double>::infinity());
-    // No admitted genome will fire the resolution trigger: resolve the
-    // deferred candidates now (with nothing finite reported, they are all
-    // rescued — rank fidelity cannot spare any of them).
-    if (admitted.empty()) resolve_pruned_locked();
   };
 
   // Warm start: evaluate the seed designs (reference baseline + any user
   // seeds) so the returned best is never worse than the known design run
-  // with NAAS's mapping search. The seeds score as ordinary tasks on the
-  // same graph; their completion starts generation 0.
+  // with NAAS's mapping search.
   std::vector<arch::ArchConfig> eligible;
   {
     std::vector<arch::ArchConfig> seeds = options.seed_designs;
@@ -486,36 +295,39 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
       eligible.push_back(std::move(seed));
     }
   }
-  std::vector<double> seed_edps(eligible.size(),
-                                std::numeric_limits<double>::infinity());
-  std::vector<core::TaskGraph::TaskId> seed_tasks;
-  const auto seed_deps = pipeline.request_benchmarks(eligible, benchmarks);
-  for (std::size_t i = 0; i < eligible.size(); ++i) {
-    seed_tasks.push_back(graph.submit(
-        [&evaluator, &eligible, &benchmarks, &seed_edps, i] {
-          seed_edps[i] = evaluator.assembled_geomean(eligible[i], benchmarks);
-        },
-        seed_deps[i]));
-  }
-  graph.submit(
-      [&] {
-        std::lock_guard<std::mutex> lk(outer.mutex);
-        for (std::size_t i = 0; i < eligible.size(); ++i) {
-          if (std::isfinite(seed_edps[i]) &&
-              seed_edps[i] < result.best_geomean_edp) {
-            result.best_geomean_edp = seed_edps[i];
-            result.best_arch = eligible[i];
-          }
-        }
-        if (options.iterations > 0) {
-          start_generation();
-        } else {
-          graph.fulfill(evolution_done);
-        }
-      },
-      seed_tasks);
+  fold_best(eligible, evaluator.evaluate_population(eligible, benchmarks));
 
-  pipeline.run();  // drives the whole evolution; folds scheduler meters
+  for (int iter = 0; iter < options.iterations; ++iter) {
+    const auto population = cma.ask(is_valid);
+    std::vector<arch::ArchConfig> configs;
+    configs.reserve(population.size());
+    for (const auto& genome : population) configs.push_back(hw.decode(genome));
+    // Infeasible genomes score +inf without evaluation; the feasible ones
+    // share one fill, so each layer shape's searches draw one stream.
+    std::vector<arch::ArchConfig> feasible;
+    std::vector<std::size_t> slots;
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      if (!options.resources.allows(configs[k])) continue;
+      feasible.push_back(configs[k]);
+      slots.push_back(k);
+    }
+    const std::vector<double> scored =
+        evaluator.evaluate_population(feasible, benchmarks);
+    std::vector<double> edps(configs.size(),
+                             std::numeric_limits<double>::infinity());
+    for (std::size_t j = 0; j < slots.size(); ++j) edps[slots[j]] = scored[j];
+    cma.tell(population, edps);
+
+    fold_best(configs, edps);
+    std::vector<double> finite_edps;
+    for (const double edp : edps)
+      if (std::isfinite(edp)) finite_edps.push_back(edp);
+    result.population_mean_edp.push_back(core::mean(finite_edps));
+    result.population_best_edp.push_back(
+        finite_edps.empty()
+            ? std::numeric_limits<double>::infinity()
+            : *std::min_element(finite_edps.begin(), finite_edps.end()));
+  }
 
   if (std::isfinite(result.best_geomean_edp)) {
     for (const auto& net : benchmarks)
@@ -527,9 +339,6 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
   result.mapping_searches = evaluator.mapping_searches();
   result.generations_batched = evaluator.generations_batched();
   result.candidates_batch_evaluated = evaluator.candidates_batch_evaluated();
-  result.tasks_executed = evaluator.tasks_executed();
-  result.surrogate_consults = evaluator.surrogate_consults();
-  result.surrogate_pruned = evaluator.surrogate_pruned();
   result.wall_seconds = timer.seconds();
   return result;
 }

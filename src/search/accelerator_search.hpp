@@ -1,14 +1,12 @@
 #pragma once
 
 #include <atomic>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "arch/resources.hpp"
-#include "core/task_graph.hpp"
 #include "core/thread_pool.hpp"
 #include "cost/backend.hpp"
 #include "cost/network_cost.hpp"
@@ -16,11 +14,8 @@
 #include "search/eval_cache.hpp"
 #include "search/mapping_search.hpp"
 #include "search/result_store.hpp"
-#include "search/surrogate.hpp"
 
 namespace naas::search {
-
-class EvalPipeline;
 
 /// Evaluates accelerator candidates on benchmark networks, running the
 /// inner per-layer mapping search and memoizing results by
@@ -28,24 +23,40 @@ class EvalPipeline;
 /// what makes the two-level loop affordable: repeated blocks, repeated
 /// candidates, and baseline re-evaluations all hit it.
 ///
-/// Evaluation runs on the asynchronous task-graph pipeline (EvalPipeline +
-/// core::TaskGraph): the (arch, layer) work units of a request are
-/// deduplicated by cache key and grouped by layer shape, one task per
-/// group that draws the layer's CMA-ES normals once and runs search_mapping
-/// for each of its accelerators. All groups across all candidates and
-/// networks share one graph — no per-candidate or per-layer joins. Results,
-/// cache contents, and every meter are bit-identical for any thread count,
-/// and all but tasks_executed to evaluating the candidates one by one.
+/// Every evaluation entry point fills the cache through one step, fill():
+/// the (arch, layer) work units of a request are deduplicated by cache key
+/// and the uncached ones are grouped by layer shape; one pool.parallel_for
+/// runs the groups, each drawing its layer's CMA-ES normals once and
+/// searching every accelerator that needs the layer from them. Results,
+/// cache contents, and every meter are bit-identical for any thread count
+/// and to evaluating the candidates one by one.
 ///
 /// Thread safety: all evaluation entry points may be called concurrently
-/// (the cache is mutex-striped and the statistics are atomic), though the
-/// intended shape is one pipeline at a time fanning out internally.
+/// (the cache is mutex-striped and the statistics are atomic). Concurrent
+/// fills that miss the same key both search it; every cache value is a
+/// pure function of its key and only the first publish is metered, so
+/// results and meters stay exact.
 class ArchEvaluator {
  public:
   /// `pool` (optional, not owned) supplies the worker threads; nullptr or a
   /// 1-thread pool reproduces the serial evaluator exactly.
   ArchEvaluator(const cost::CostModel& model, MappingSearchOptions mapping,
                 core::ThreadPool* pool = nullptr);
+
+  /// One mapping-search work unit. The pointees must outlive the fill()
+  /// call that reads them.
+  struct WorkUnit {
+    const arch::ArchConfig* arch;
+    const nn::Workload* layer;
+  };
+
+  /// Makes every unit's mapping-search result resident. Units already
+  /// resident or repeated earlier in `units` start no search; the rest are
+  /// grouped by layer shape in first-appearance order, and one
+  /// pool.parallel_for runs the groups. A group draws its layer's normal
+  /// stream once (mapping_normals: a function of the layer's seed and the
+  /// budget, never of the arch) and publishes one search per accelerator.
+  void fill(std::span<const WorkUnit> units);
 
   /// Network cost using the best searched mapping for each unique layer.
   /// Repeated layer shapes are deduplicated (count-weighted) and their
@@ -62,25 +73,23 @@ class ArchEvaluator {
                      const std::vector<nn::Network>& benchmarks);
 
   /// Batched population scoring: geomean EDP for every candidate, returned
-  /// by candidate index. One task graph carries one task per layer shape
-  /// with uncached units, which searches that layer on every candidate
-  /// needing it from one normal stream, plus a per-candidate assembly task.
-  /// Results, cache contents and every meter except tasks_executed match
-  /// evaluating the candidates one by one.
+  /// by candidate index. One fill() covers every candidate's unique layers,
+  /// so each layer shape draws its normal stream once for the whole
+  /// population; then each candidate is assembled from the cache. Results,
+  /// cache contents and every meter match evaluating the candidates one by
+  /// one.
   std::vector<double> evaluate_population(
       std::span<const arch::ArchConfig> archs,
       const std::vector<nn::Network>& benchmarks);
 
   /// Best searched mapping for one layer (cached). A miss runs
-  /// search_mapping on the calling thread; no task graph is built.
+  /// search_mapping on the calling thread.
   const MappingSearchResult& best_mapping(const arch::ArchConfig& arch,
                                           const nn::Workload& layer);
 
   /// Pure assembly of a network cost from resident cache entries — zero
-  /// new evaluations and no pipeline construction. This is the
-  /// assembly-phase API the per-candidate graph tasks use once their
-  /// layer searches have published; a missing key (unreachable when the
-  /// caller gated on its searches) falls back to a synchronous search.
+  /// new evaluations. A missing key (unreachable after a fill() of the
+  /// network's layers) falls back to a synchronous search.
   cost::NetworkCost assemble_network(const arch::ArchConfig& arch,
                                      const nn::Network& net);
 
@@ -102,30 +111,13 @@ class ArchEvaluator {
     return candidates_batch_evaluated_.load();
   }
 
-  /// Scheduler work meter: every task-graph task run under this evaluator's
-  /// pipelines (one per layer group of a request, plus the callers' own
-  /// tasks such as candidate finalizes). Deterministic for any thread
-  /// count, but it depends on how requests batch candidates: scoring them
-  /// together runs fewer tasks than one by one. best_mapping misses run
-  /// inline and meter none.
-  long long tasks_executed() const;
-
-  /// Surrogate-pruning meters: lower-bound consultations the outer search
-  /// charged to this evaluator, and how many of them pruned (skipped) a
-  /// candidate's full mapping-search evaluation. Zero unless a driver runs
-  /// with SurrogateMode::kPrune.
-  long long surrogate_consults() const { return surrogate_consults_.load(); }
-  long long surrogate_pruned() const { return surrogate_pruned_.load(); }
-  /// Meters one surrogate consultation (and whether it pruned).
-  void note_surrogate_consult(bool pruned) {
-    surrogate_consults_.fetch_add(1);
-    if (pruned) surrogate_pruned_.fetch_add(1);
-  }
-
-  /// Aggregated TaskGraph accounting across every pipeline this evaluator
-  /// ran (busy/wall seconds feed the pool-idle-fraction measurement in
-  /// bench_async_pipeline).
-  core::TaskGraph::Stats scheduler_stats() const;
+  /// Always reads 0 idle. Kept only because the frozen benchmark source
+  /// (naasbench/src/probes.cpp, its taskgraph.idle_frac probe) still calls
+  /// it; drop it with the next benchmark change.
+  struct SchedulerStats {
+    double idle_fraction() const { return 0; }
+  };
+  SchedulerStats scheduler_stats() const { return {}; }
 
   /// Unique (arch, layer, budget) entries memoized so far.
   std::size_t cache_size() const { return cache_.size(); }
@@ -171,16 +163,7 @@ class ArchEvaluator {
     return cache_.snapshot_since(since, high_mark);
   }
 
-  /// The cost model evaluation runs under — surrogate bounds must be
-  /// computed against the same model (energy parameters) that scores the
-  /// real evaluations, or they would stop being bounds.
-  const cost::CostModel& model() const { return model_; }
-
-  core::ThreadPool* pool() const { return pool_; }
-
  private:
-  friend class EvalPipeline;
-
   std::uint64_t cache_key(const arch::ArchConfig& arch,
                           const nn::Workload& layer) const;
 
@@ -191,18 +174,21 @@ class ArchEvaluator {
   /// The mapping-search options actually used for `layer`: the evaluator's
   /// budget with a layer-dependent seed (decorrelates searches across
   /// layers while staying independent of evaluation order). The single
-  /// source of truth for every search path — best_mapping and the
-  /// pipeline's tasks must seed identically or cache contents would
-  /// depend on which path filled an entry.
+  /// source of truth for every search path — best_mapping and fill() must
+  /// seed identically or cache contents would depend on which path filled
+  /// an entry.
   MappingSearchOptions layer_options(const nn::Workload& layer) const;
 
   /// Publishes a finished search under `key` and, when it is the first
   /// result for the key, counts it into the work meters. Returns the
-  /// resident entry. Shared by best_mapping and the pipeline's tasks.
+  /// resident entry. Shared by best_mapping and fill().
   const MappingSearchResult& publish(std::uint64_t key,
                                      MappingSearchResult result);
-  /// Folds one pipeline run's scheduler stats into the aggregate.
-  void absorb_scheduler_stats(const core::TaskGraph::Stats& delta);
+
+  /// fill() over every unique layer shape of `networks` for each of
+  /// `archs`, as one batch.
+  void fill_benchmarks(std::span<const arch::ArchConfig> archs,
+                       std::span<const nn::Network> networks);
 
   const cost::CostModel& model_;
   MappingSearchOptions mapping_;
@@ -213,10 +199,6 @@ class ArchEvaluator {
   std::atomic<long long> mapping_searches_{0};
   std::atomic<long long> generations_batched_{0};
   std::atomic<long long> candidates_batch_evaluated_{0};
-  std::atomic<long long> surrogate_consults_{0};
-  std::atomic<long long> surrogate_pruned_{0};
-  mutable std::mutex sched_mutex_;
-  core::TaskGraph::Stats sched_stats_;
   std::size_t store_entries_loaded_ = 0;
 };
 
@@ -252,22 +234,6 @@ struct NaasOptions {
   std::string cache_path;
   /// Load the store but never write it back (shared/read-only caches).
   bool cache_readonly = false;
-  /// Analytical surrogate pruning (search/surrogate.*): under kPrune, each
-  /// resource-feasible candidate's roofline lower bound is compared with
-  /// the best geomean EDP known at its generation's start. Candidates
-  /// whose bound already exceeds it are deferred; once the rest of the
-  /// generation has reported, the ones whose bound is also strictly worse
-  /// than the generation's mu-th best fitness skip the full mapping-search
-  /// evaluation (the bound stands in as their fitness), and the rest are
-  /// evaluated after all. Because the bound is exact and CmaEs::tell is
-  /// rank-only (see CmaEs::parents), the pruned candidates sit outside the
-  /// parent set under bound or true cost alike: the search trajectory, the
-  /// returned best, and population_best_edp are all bit-identical to kOff
-  /// at every thread count. Only population_mean_edp may differ (it
-  /// averages the stand-in bounds), plus the work/meter counts that
-  /// pruning exists to reduce. kOff (default) preserves legacy behavior
-  /// exactly, consulting no bounds at all.
-  SurrogateMode surrogate = SurrogateMode::kOff;
   /// Cost-kernel backend override (--cost-backend). nullopt leaves the
   /// caller's CostModel untouched; a value re-targets evaluation onto a
   /// copy of the model with that backend selected (kAuto picks the best
@@ -288,16 +254,12 @@ struct NaasResult {
   /// Batched-cost-model meters (see ArchEvaluator::generations_batched).
   long long generations_batched = 0;
   long long candidates_batch_evaluated = 0;
-  /// Scheduler work meter (see ArchEvaluator::tasks_executed).
-  long long tasks_executed = 0;
   /// Always 0. Kept only because the frozen benchmark source
-  /// (naasbench/src/search_workloads.cpp) still reads them.
+  /// (naasbench/src/search_workloads.cpp) still reads them; drop them with
+  /// the next benchmark change.
+  long long tasks_executed = 0;
   long long speculative_hits = 0;
   long long speculative_wasted = 0;
-  /// Surrogate-pruning meters (see NaasOptions::surrogate): lower-bound
-  /// consultations and the candidates they pruned. Both 0 under kOff.
-  long long surrogate_consults = 0;
-  long long surrogate_pruned = 0;
   /// Entries warm-started from NaasOptions::cache_path (0 when disabled,
   /// missing, or rejected).
   long long store_entries_loaded = 0;
@@ -325,11 +287,12 @@ void flush_to_store(const ArchEvaluator& evaluator, const std::string& path,
 /// `benchmarks` (with the inner mapping search per layer), update the CMA
 /// distribution, and return the fittest design.
 ///
-/// The whole evolution runs as ONE task graph: every candidate's layer
-/// searches interleave freely, each candidate reports its fitness through
-/// CmaEs::tell_partial as it finishes, and the report that completes a
-/// generation *schedules* the next one (no join anywhere). The returned
-/// result is bit-identical for any `options.num_threads`.
+/// One plain loop: per generation, ask, decode, score every feasible
+/// candidate with one evaluate_population (one fill for the generation),
+/// assemble the fitness in candidate order, tell. CMA-ES cannot sample
+/// generation g+1 before generation g's tell, so nothing is lost by the
+/// join. The returned result is bit-identical for any
+/// `options.num_threads`.
 NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
                     const std::vector<nn::Network>& benchmarks);
 

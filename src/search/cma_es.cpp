@@ -121,29 +121,6 @@ std::vector<std::vector<double>> CmaEs::ask(
   return pop;
 }
 
-const std::vector<std::vector<double>>& CmaEs::begin_generation(
-    const std::function<bool(const std::vector<double>&)>& valid) {
-  assert(!generation_open());
-  pending_population_ = ask(valid);
-  pending_fitness_.assign(pending_population_.size(), 0.0);
-  pending_reported_.assign(pending_population_.size(), false);
-  pending_remaining_ = pending_population_.size();
-  return pending_population_;
-}
-
-bool CmaEs::tell_partial(std::size_t index, double fitness) {
-  assert(generation_open() && index < pending_population_.size() &&
-         !pending_reported_[index]);
-  pending_fitness_[index] = fitness;
-  pending_reported_[index] = true;
-  if (--pending_remaining_ > 0) return false;
-  // Last slot filled: the assembled fitness vector is in candidate order
-  // regardless of the order reports arrived in, so the distribution update
-  // is bit-identical to a barrier-style ask()/tell() round trip.
-  tell(pending_population_, pending_fitness_);
-  return true;
-}
-
 void CmaEs::tell(const std::vector<std::vector<double>>& population,
                  const std::vector<double>& fitness) {
   assert(population.size() == fitness.size());

@@ -54,27 +54,6 @@ class CmaEs {
   void tell(const std::vector<std::vector<double>>& population,
             const std::vector<double>& fitness);
 
-  /// --- Non-blocking step API (the task-graph evaluation pipeline) ---
-  ///
-  /// begin_generation() samples a generation through exactly the same
-  /// stream and rejection logic as ask(), but retains it: the pending
-  /// population is readable (const, stable storage) while its candidates
-  /// evaluate as concurrently-scheduled tasks. Fitness comes back one slot
-  /// at a time via tell_partial(); the call that fills the last open slot
-  /// applies the full tell() update and returns true, so a generation's
-  /// *completion* — not a join — is what schedules the next one.
-  const std::vector<std::vector<double>>& begin_generation(
-      const std::function<bool(const std::vector<double>&)>& valid = nullptr);
-
-  /// True while a begun generation still has unreported slots.
-  bool generation_open() const { return pending_remaining_ > 0; }
-
-  /// Reports fitness for pending candidate `index` (each slot exactly
-  /// once). Returns true when this report completed the generation and the
-  /// distribution update was applied. Not thread-safe: serialize calls
-  /// (run_naas does so with a mutex).
-  bool tell_partial(std::size_t index, double fitness);
-
   /// Current distribution mean.
   const std::vector<double>& mean() const { return mean_; }
 
@@ -83,14 +62,6 @@ class CmaEs {
 
   /// Generations processed so far.
   int generation() const { return generation_; }
-
-  /// Configured parent count mu. tell() consumes fitness values ONLY
-  /// through the rank order of the best min(mu, lambda) candidates — the
-  /// update never reads a fitness numerically — so a candidate whose
-  /// reported fitness is strictly worse than the generation's mu-th best
-  /// influences the distribution identically no matter what that value is.
-  /// The surrogate pruning gate in run_naas rests on this contract.
-  int parents() const { return mu_; }
 
   /// Candidates that exhausted max_resample and fell back to the clamped
   /// mean. ask() therefore never returns a point the caller's decode cannot
@@ -125,13 +96,6 @@ class CmaEs {
   std::vector<double> path_c_;
   int generation_ = 0;
   long long resample_exhausted_ = 0;
-
-  /// Step-API state: the retained generation and its partially-filled
-  /// fitness vector (see begin_generation/tell_partial).
-  std::vector<std::vector<double>> pending_population_;
-  std::vector<double> pending_fitness_;
-  std::vector<bool> pending_reported_;
-  std::size_t pending_remaining_ = 0;
 };
 
 }  // namespace naas::search

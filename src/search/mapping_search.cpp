@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -40,9 +41,14 @@ std::size_t normals_per_search(const MappingSearchOptions& options) {
          normals_per_generation(options);
 }
 
+std::atomic<long long> normals_drawn{0};
+
 }  // namespace
 
+long long mapping_normals_drawn() { return normals_drawn.load(); }
+
 std::vector<double> mapping_normals(const MappingSearchOptions& options) {
+  normals_drawn.fetch_add(1, std::memory_order_relaxed);
   core::Rng rng(options.seed);
   std::vector<double> normals(normals_per_search(options));
   for (double& z : normals) z = rng.normal();

@@ -48,14 +48,20 @@ struct MappingSearchResult {
 /// layer, so searches that share a seed can share one stream.
 std::vector<double> mapping_normals(const MappingSearchOptions& options);
 
+/// Streams mapping_normals has drawn in this process so far. It pins the
+/// evaluator's grouping: a fill draws one stream per layer shape it
+/// searches, not one per (arch, layer) unit.
+long long mapping_normals_drawn();
+
 /// Searches the mapping space of `layer` on `arch`, returning the best
 /// (lowest-EDP) mapping found. One plain loop on the calling thread: build
 /// the layer context, score the canonical seeds, then per CMA generation
 /// sample from the next population x genome_size values of `normals`,
 /// decode every candidate, score the whole generation with one
 /// CostModel::evaluate_batch call, and fold fitness in candidate order.
-/// Callers parallelize across searches (EvalPipeline runs each layer's
-/// searches as one task that draws the stream once), never inside one.
+/// Callers parallelize across searches (ArchEvaluator::fill runs each
+/// layer's searches as one parallel_for index that draws the stream once),
+/// never inside one.
 ///
 /// `normals` must be mapping_normals(options); any other length throws
 /// std::invalid_argument. Given that stream the result is bit-identical

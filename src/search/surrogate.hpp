@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "arch/accelerator.hpp"
@@ -9,34 +8,26 @@
 
 namespace naas::search {
 
-/// Surrogate pruning policy for the outer accelerator search.
-enum class SurrogateMode {
-  kOff,    ///< never consult the surrogate (bit-identical legacy behavior)
-  kPrune,  ///< skip mapping search when the lower bound already loses
-};
-
-/// "off" / "prune".
-const char* surrogate_mode_name(SurrogateMode mode);
-
-/// Parses "off"/"prune" (exact match). Returns false on anything else.
-bool parse_surrogate_mode(std::string_view text, SurrogateMode* out);
-
 /// Roofline lower bound for one (accelerator, layer) pair. Exact by
 /// construction: every term is provably <= the corresponding term of the
-/// cost model's report for EVERY legal mapping, so a candidate whose bound
-/// already exceeds the best known cost can be discarded without running
-/// its mapping search — pruning can never discard a would-be winner.
+/// cost model's report for EVERY legal mapping, so it bounds the best
+/// cost any mapping search can find without running one.
 struct SurrogateBound {
   double latency_cycles = 0;  ///< max(compute, NoC, DRAM floor) + fill
   double energy_nj = 0;       ///< MAC energy + compulsory-traffic energy
   double edp = 0;             ///< energy_nj * latency_cycles
 };
 
+/// Bytes every legal mapping moves across the DRAM port at least once:
+/// the input (with its exact halo extent), weight and output floors of
+/// the context's layer, from its relevance masks and dim sizes.
+double compulsory_bytes(const cost::LayerContext& ctx);
+
 /// Computes the per-layer roofline bound from the context's invariants:
 ///  - compute floor: macs / pes (the padded per-PE iteration space is at
 ///    least the ideal work split at 1 MAC/cycle);
 ///  - DRAM floor: compulsory_bytes / dram_bw (every operand crosses the
-///    DRAM port at least once — see LayerContext::compulsory_bytes);
+///    DRAM port at least once);
 ///  - NoC floor: compulsory_bytes / noc_bw (compulsory DRAM fills are L2
 ///    writes and compulsory drains are L2 reads, both on the NoC port);
 ///  - plus the array_depth pipeline-fill term the model always adds.

@@ -14,7 +14,6 @@
 #include "core/serialize.hpp"
 #include "nn/model_zoo.hpp"
 #include "search/encoding.hpp"
-#include "search/eval_pipeline.hpp"
 #include "search/result_store.hpp"
 
 namespace naas::serve {
@@ -103,17 +102,18 @@ std::vector<Json> EvalService::handle_batch(const std::vector<Json>& requests) {
 
   // Collapse every mapping-search work unit in the batch — direct
   // search_mapping queries and the unique-layer expansion of
-  // evaluate_network queries — into one pipeline request. It dedups the
-  // units, skips cached ones and runs one task per layer shape, so work
-  // shared by several requests (the common case: many clients asking about
-  // the same architecture) is paid for once per batch, and the tasks spread
-  // across the evaluator's pool. The per-request assembly below then hits
-  // the cache for every unit. Mapping search is deterministic per key
-  // (seeded by layer shape, not evaluation order), so this produces
-  // byte-identical responses to sequential submission.
-  std::vector<search::EvalPipeline::WorkUnit> units;
+  // evaluate_network queries — into one evaluator fill. It dedups the
+  // units, skips cached ones and searches each layer shape's group as one
+  // parallel_for index, so work shared by several requests (the common
+  // case: many clients asking about the same architecture) is paid for once
+  // per batch, and the groups spread across the evaluator's pool. The
+  // per-request assembly below then hits the cache for every unit. Mapping
+  // search is deterministic per key (seeded by layer shape, not evaluation
+  // order), so this produces byte-identical responses to sequential
+  // submission.
+  std::vector<search::ArchEvaluator::WorkUnit> units;
   // unique_layers() returns by value; keep the expansions alive through the
-  // request below.
+  // fill below.
   std::vector<std::vector<std::pair<nn::Workload, int>>> expansions;
   for (Plan& plan : plans) {
     if (!plan.error_code.empty() || !plan.has_task) continue;
@@ -125,11 +125,7 @@ std::vector<Json> EvalService::handle_batch(const std::vector<Json>& requests) {
       units.push_back({&plan.arch, &plan.layer});
     }
   }
-  search::EvalPipeline pipeline(evaluator_);
-  const auto ids = pipeline.request(units);
-  if (std::any_of(ids.begin(), ids.end(),
-                  [](search::EvalPipeline::TaskId id) { return id != 0; }))
-    pipeline.run();
+  evaluator_.fill(units);
 
   std::vector<Json> responses;
   responses.reserve(plans.size());
@@ -323,14 +319,6 @@ Json EvalService::cache_stats_json() const {
           Json::integer(evaluator_.generations_batched()));
   obj.set("candidates_batch_evaluated",
           Json::integer(evaluator_.candidates_batch_evaluated()));
-  obj.set("tasks_executed", Json::integer(evaluator_.tasks_executed()));
-  // Surrogate-pruning meters: the serving path itself consults no bounds
-  // (it evaluates every request), so these stay 0 unless a warm-started
-  // search driver shares the evaluator; surfaced for parity with the
-  // search drivers' stderr summaries.
-  obj.set("surrogate_consults",
-          Json::integer(evaluator_.surrogate_consults()));
-  obj.set("surrogate_pruned", Json::integer(evaluator_.surrogate_pruned()));
   obj.set("store_entries_loaded",
           Json::integer(
               static_cast<std::int64_t>(evaluator_.store_entries_loaded())));

@@ -65,10 +65,10 @@ struct ServiceStats {
 ///
 /// Batching: handle_batch collapses all (arch, layer) mapping-search work
 /// units across the batch — including the unique-layer expansion of
-/// evaluate_network requests — into one search::EvalPipeline request: the
-/// uncached units are deduplicated and grouped by layer shape, one task per
-/// group spread across the pool, then responses are assembled per request
-/// in order.
+/// evaluate_network requests — into one ArchEvaluator::fill: the uncached
+/// units are deduplicated and grouped by layer shape, one parallel_for
+/// index per group spread across the pool, then responses are assembled
+/// per request in order.
 /// Because mapping search is deterministic per key, batched responses are
 /// bit-identical to submitting the same requests one at a time.
 ///

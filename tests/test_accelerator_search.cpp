@@ -9,6 +9,7 @@
 
 #include "arch/presets.hpp"
 #include "nn/model_zoo.hpp"
+#include "search/mapping_search.hpp"
 #include "search/random_search.hpp"
 
 namespace naas::search {
@@ -64,13 +65,12 @@ TEST(ArchEvaluatorTest, GeomeanAggregatesNetworks) {
               1e-6 * std::sqrt(a * b));
 }
 
-TEST(ArchEvaluatorTest, OneTaskPerLayerGroupPlusOnePerCandidate) {
-  // The pipeline's task structure, at any thread count: scoring K
-  // candidates whose uncached (arch, layer) searches span N distinct layer
-  // shapes runs exactly N group tasks (each draws its layer's normals once
-  // and searches every accelerator that needs the layer) plus K assembly
-  // tasks, and a best_mapping miss searches inline without building a
-  // graph.
+TEST(ArchEvaluatorTest, OneNormalStreamPerLayerGroup) {
+  // The fill's grouping, at any thread count: scoring K candidates whose
+  // uncached (arch, layer) searches span N distinct layer shapes draws
+  // exactly N normal streams (each group draws its layer's stream once and
+  // searches every accelerator that needs the layer from it), not one per
+  // searched unit. A best_mapping miss draws its own stream.
   const cost::CostModel model;
   MappingSearchOptions mopts;
   mopts.population = 4;
@@ -80,8 +80,8 @@ TEST(ArchEvaluatorTest, OneTaskPerLayerGroupPlusOnePerCandidate) {
   // The repeated candidate shares every unit with the first.
   const std::vector<arch::ArchConfig> archs{
       arch::nvdla_256_arch(), arch::eyeriss_arch(), arch::nvdla_256_arch()};
-  // Resident on both accelerators before scoring, so its shape runs no
-  // group task.
+  // Resident on both accelerators before scoring, so its shape draws no
+  // stream in the fill.
   const nn::Workload warm = nets[0].unique_layers().front().first;
   std::set<std::pair<std::uint64_t, std::uint64_t>> units;
   std::set<std::uint64_t> shapes;
@@ -93,27 +93,29 @@ TEST(ArchEvaluatorTest, OneTaskPerLayerGroupPlusOnePerCandidate) {
       }
   const auto uncached = static_cast<long long>(units.size()) - 2;
   const auto groups = static_cast<long long>(shapes.size()) - 1;
-  const auto k = static_cast<long long>(archs.size());
+  ASSERT_LT(groups, uncached);  // one draw per unit would be told apart
 
   for (int threads : {1, 4}) {
     core::ThreadPool pool(threads);
     ArchEvaluator ev(model, mopts, &pool);
+    const long long start = mapping_normals_drawn();
     ev.best_mapping(archs[0], warm);
     ev.best_mapping(archs[1], warm);
     EXPECT_EQ(ev.mapping_searches(), 2) << threads;
-    EXPECT_EQ(ev.tasks_executed(), 0) << threads;
+    EXPECT_EQ(mapping_normals_drawn() - start, 2) << threads;
 
+    const long long before_fill = mapping_normals_drawn();
     ev.evaluate_population(archs, nets);
     EXPECT_EQ(ev.mapping_searches(), 2 + uncached) << threads;
-    EXPECT_EQ(ev.tasks_executed(), groups + k) << threads;
+    EXPECT_EQ(mapping_normals_drawn() - before_fill, groups) << threads;
   }
 }
 
 TEST(ArchEvaluatorTest, PopulationOfSharedLayersMatchesOneByOne) {
-  // Candidates that share layers share group tasks and normal streams.
-  // Scoring them together must still equal scoring them one by one on a
-  // fresh evaluator, bit for bit: every value, every cache entry, and every
-  // work meter except the task count.
+  // Candidates that share layers share normal streams. Scoring them
+  // together must still equal scoring them one by one on a fresh
+  // evaluator, bit for bit: every value, every cache entry, and every work
+  // meter; only the number of streams drawn falls.
   const cost::CostModel model;
   MappingSearchOptions mopts;
   mopts.population = 6;
@@ -127,12 +129,16 @@ TEST(ArchEvaluatorTest, PopulationOfSharedLayersMatchesOneByOne) {
     core::ThreadPool pool(threads);
     ArchEvaluator together(model, mopts, &pool);
     ArchEvaluator alone(model, mopts, &pool);
+    const long long start = mapping_normals_drawn();
     const std::vector<double> edps = together.evaluate_population(archs, nets);
+    const long long drawn_together = mapping_normals_drawn() - start;
     ASSERT_EQ(edps.size(), archs.size());
     for (std::size_t i = 0; i < archs.size(); ++i)
       EXPECT_EQ(std::bit_cast<std::uint64_t>(edps[i]),
                 std::bit_cast<std::uint64_t>(alone.geomean_edp(archs[i], nets)))
           << threads << " threads, candidate " << i;
+    const long long drawn_alone =
+        mapping_normals_drawn() - start - drawn_together;
     EXPECT_EQ(together.cost_evaluations(), alone.cost_evaluations());
     EXPECT_EQ(together.mapping_searches(), alone.mapping_searches());
     EXPECT_EQ(together.generations_batched(), alone.generations_batched());
@@ -142,7 +148,7 @@ TEST(ArchEvaluatorTest, PopulationOfSharedLayersMatchesOneByOne) {
     EXPECT_EQ(ResultStore::encode(together.snapshot_since(0)),
               ResultStore::encode(alone.snapshot_since(0)))
         << threads;
-    EXPECT_LT(together.tasks_executed(), alone.tasks_executed()) << threads;
+    EXPECT_LT(drawn_together, drawn_alone) << threads;
   }
 }
 
@@ -200,7 +206,7 @@ TEST(NaasSearch, DeterministicForSeed) {
 TEST(NaasSearch, ResultIdenticalAcrossThreadCounts) {
   // Every visible output and work meter of a search is a pure function of
   // (inputs, options): the pooled run must match the serial one bit for
-  // bit, per-generation statistics and scheduler task count included.
+  // bit, per-generation statistics included.
   const cost::CostModel model;
   NaasOptions opts = small_options(arch::eyeriss_resources(), 5);
   opts.num_threads = 1;
@@ -227,7 +233,6 @@ TEST(NaasSearch, ResultIdenticalAcrossThreadCounts) {
   EXPECT_EQ(pooled.cost_evaluations, serial.cost_evaluations);
   EXPECT_EQ(pooled.mapping_searches, serial.mapping_searches);
   EXPECT_EQ(pooled.generations_batched, serial.generations_batched);
-  EXPECT_EQ(pooled.tasks_executed, serial.tasks_executed);
 }
 
 TEST(NaasSearch, SizingOnlyModeRestrictsConnectivity) {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "arch/presets.hpp"
+#include "core/rng.hpp"
 
 namespace naas::nas {
 namespace {
@@ -72,6 +78,41 @@ TEST(SubnetEvolution, InfeasibleConstraintReportsInfinity) {
   EXPECT_TRUE(std::isinf(res.edp));
 }
 
+TEST(SubnetEvolution, SingleFeasibleSampleBreedsFromItself) {
+  // A floor that exactly one of the initial samples meets leaves a
+  // population of one. The breeding loop must pick parents from that one
+  // member only: drawing from max(2, size / 2) read past the end of the
+  // population (a crash at full budget, a silently wrong parent at the
+  // default one).
+  const cost::CostModel model;
+  search::ArchEvaluator ev(model, tiny_mapping());
+  const nn::OfaSpace space;
+  const nn::AccuracyPredictor predictor;
+
+  SubnetEvolutionOptions opts;
+  opts.population = 6;
+  opts.iterations = 4;
+  opts.seed = 11;
+  // The initial population scores the repaired samples of Rng(seed), in
+  // order; every attempt is spent because at most one sample is feasible.
+  std::vector<double> accuracies;
+  core::Rng rng(opts.seed);
+  for (int i = 0; i < opts.max_sample_attempts; ++i)
+    accuracies.push_back(predictor.predict(space.repair(space.sample(rng))));
+  std::sort(accuracies.begin(), accuracies.end(), std::greater<>());
+  ASSERT_LT(accuracies[1], accuracies[0]);
+  opts.min_accuracy = accuracies[0];
+  ASSERT_EQ(std::count_if(accuracies.begin(), accuracies.end(),
+                          [&](double a) { return a >= opts.min_accuracy; }),
+            1);
+
+  const SubnetResult res =
+      evolve_subnet(ev, arch::eyeriss_arch(), space, predictor, opts);
+  ASSERT_TRUE(std::isfinite(res.edp));
+  EXPECT_GE(res.accuracy, opts.min_accuracy);
+  EXPECT_DOUBLE_EQ(predictor.predict(res.config), res.accuracy);
+}
+
 TEST(CoSearch, ReturnsMatchedTuple) {
   const cost::CostModel model;
   CoSearchOptions opts;
@@ -115,6 +156,41 @@ TEST(CoSearch, JointBeatsFixedNetOnEdp) {
   const auto fixed_cost = ev.evaluate(joint.best_arch, fixed_net);
   ASSERT_TRUE(fixed_cost.legal);
   EXPECT_LE(joint.best_edp, fixed_cost.edp * 1.02);
+}
+
+TEST(CoSearch, ResultIdenticalAcrossThreadCounts) {
+  // Every output and work meter of a co-search is a pure function of
+  // (inputs, options). With several threads a generation's subnet
+  // evolutions run concurrently and may search shared (arch, layer) units
+  // at the same time; the pooled run must still match the serial one bit
+  // for bit.
+  const cost::CostModel model;
+  CoSearchOptions opts;
+  opts.resources = arch::nvdla_256_resources();
+  opts.hw_population = 6;
+  opts.hw_iterations = 2;
+  opts.seed = 4;
+  opts.mapping = tiny_mapping();
+  opts.subnet.min_accuracy = 76.0;
+  opts.subnet.population = 5;
+  opts.subnet.iterations = 2;
+  opts.num_threads = 1;
+  const CoSearchResult serial = run_cosearch(model, opts);
+  opts.num_threads = 4;
+  const CoSearchResult pooled = run_cosearch(model, opts);
+
+  ASSERT_TRUE(std::isfinite(serial.best_edp));
+  EXPECT_EQ(search::arch_fingerprint(pooled.best_arch),
+            search::arch_fingerprint(serial.best_arch));
+  EXPECT_EQ(pooled.best_net.fingerprint(), serial.best_net.fingerprint());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled.best_edp),
+            std::bit_cast<std::uint64_t>(serial.best_edp));
+  EXPECT_EQ(pooled.best_accuracy, serial.best_accuracy);
+  EXPECT_EQ(pooled.mapping_searches, serial.mapping_searches);
+  EXPECT_EQ(pooled.cost_evaluations, serial.cost_evaluations);
+  EXPECT_EQ(pooled.generations_batched, serial.generations_batched);
+  EXPECT_EQ(pooled.candidates_batch_evaluated,
+            serial.candidates_batch_evaluated);
 }
 
 }  // namespace
