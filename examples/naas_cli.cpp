@@ -12,7 +12,7 @@
 //   --cache-path <file>   persistent mapping-result store: warm-start from
 //                         it and flush back to it (search/cosearch)
 //   --cache-readonly      load the store but never write it back
-//   --cost-backend <scalar|avx2|neon|auto>
+//   --cost-backend <scalar|avx2|auto>
 //                         cost-kernel backend (default auto: CPUID picks
 //                         the fastest; results are identical regardless)
 //
@@ -209,7 +209,7 @@ int usage() {
                "       naas_cli cosearch <envelope> <acc%%> [iters [seed]]\n"
                "flags: --cache-path <file>  persistent mapping-result store\n"
                "       --cache-readonly     never write the store back\n"
-               "       --cost-backend <scalar|avx2|neon|auto>\n"
+               "       --cost-backend <scalar|avx2|auto>\n"
                "                            cost-kernel backend (default: "
                "auto CPUID dispatch)\n"
                "for a long-lived batched query service over the same store,\n"
@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
       const auto kind = cost::parse_backend_kind(name);
       if (!kind) {
         std::fprintf(stderr,
-                     "unknown cost backend '%s' (scalar|avx2|neon|auto)\n",
+                     "unknown cost backend '%s' (scalar|avx2|auto)\n",
                      name.c_str());
         return usage();
       }

@@ -46,7 +46,7 @@
 //   --idle-timeout-ms <n> TCP: reap idle connections (0 = never)
 //   --max-line-bytes <n>  both modes: request-line length cap (default 1MiB)
 //   --max-batch <n>       both modes: requests per batch cap (default 4096)
-//   --cost-backend <scalar|avx2|neon|auto>
+//   --cost-backend <scalar|avx2|auto>
 //                         cost-kernel backend (default auto: CPUID picks
 //                         the fastest; responses are identical regardless)
 //   --peers <list>        fleet peers ("host:port,host:port,..."): pull
@@ -86,7 +86,7 @@ int usage() {
       "                  [--max-connections <n>] [--max-queue <n>]\n"
       "                  [--deadline-ms <n>] [--idle-timeout-ms <n>]\n"
       "                  [--max-line-bytes <n>] [--max-batch <n>]\n"
-      "                  [--cost-backend <scalar|avx2|neon|auto>]\n"
+      "                  [--cost-backend <scalar|avx2|auto>]\n"
       "                  [--peers <host:port,...>] [--peer-pull-every <n>]\n"
       "                  [--faults <spec>]\n"
       "protocol: one JSON request per line on stdin; a blank line submits\n"
@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
       const auto kind = cost::parse_backend_kind(name);
       if (!kind) {
         std::fprintf(stderr,
-                     "unknown cost backend '%s' (scalar|avx2|neon|auto)\n",
+                     "unknown cost backend '%s' (scalar|avx2|auto)\n",
                      name.c_str());
         return usage();
       }

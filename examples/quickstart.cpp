@@ -2,7 +2,7 @@
 // Eyeriss resource envelope and compare against the Eyeriss baseline.
 //
 //   ./build/quickstart [iterations] [--cache-path <file>] [--cache-readonly]
-//                      [--cost-backend <scalar|avx2|neon|auto>]
+//                      [--cost-backend <scalar|avx2|auto>]
 //
 // With --cache-path, the search warm-starts from the persistent
 // mapping-result store at <file> and flushes back to it: a second identical
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       if (!kind || !cost::backend_available(*kind)) {
         std::fprintf(stderr,
                      "bad or unavailable cost backend '%s' "
-                     "(scalar|avx2|neon|auto)\n",
+                     "(scalar|avx2|auto)\n",
                      argv[i]);
         return 2;
       }

@@ -7,12 +7,10 @@
 
 namespace naas::cost {
 
-// Defined in backend_avx2.cpp / backend_neon.cpp. Each returns its
-// singleton when the implementation is compiled in AND the running CPU
-// supports it, else nullptr — the whole dispatch decision lives behind
-// these two calls.
+// Defined in backend_avx2.cpp. Returns its singleton when the
+// implementation is compiled in AND the running CPU supports it, else
+// nullptr — the whole dispatch decision lives behind this call.
 const Backend* avx2_backend_or_null();
-const Backend* neon_backend_or_null();
 
 namespace {
 
@@ -47,11 +45,8 @@ const Backend* backend_for(BackendKind kind) {
       return &g_scalar;
     case BackendKind::kAvx2:
       return avx2_backend_or_null();
-    case BackendKind::kNeon:
-      return neon_backend_or_null();
     case BackendKind::kAuto: {
       if (const Backend* b = avx2_backend_or_null()) return b;
-      if (const Backend* b = neon_backend_or_null()) return b;
       return &g_scalar;
     }
   }
@@ -65,7 +60,6 @@ bool backend_available(BackendKind kind) {
 BackendKind resolve_backend(BackendKind requested) {
   if (requested == BackendKind::kAuto) {
     if (avx2_backend_or_null()) return BackendKind::kAvx2;
-    if (neon_backend_or_null()) return BackendKind::kNeon;
     return BackendKind::kScalar;
   }
   return backend_available(requested) ? requested : BackendKind::kScalar;
@@ -76,7 +70,7 @@ BackendKind default_backend_kind() {
   if (env == nullptr || *env == '\0') return BackendKind::kAuto;
   if (const auto kind = parse_backend_kind(env)) return *kind;
   core::log_warn("ignoring invalid NAAS_COST_BACKEND='" + std::string(env) +
-                 "' (expected scalar|avx2|neon|auto)");
+                 "' (expected scalar|avx2|auto)");
   return BackendKind::kAuto;
 }
 
@@ -84,7 +78,6 @@ const char* backend_kind_name(BackendKind kind) {
   switch (kind) {
     case BackendKind::kScalar: return "scalar";
     case BackendKind::kAvx2: return "avx2";
-    case BackendKind::kNeon: return "neon";
     case BackendKind::kAuto: return "auto";
   }
   return "?";
@@ -93,7 +86,6 @@ const char* backend_kind_name(BackendKind kind) {
 std::optional<BackendKind> parse_backend_kind(const std::string& name) {
   if (name == "scalar") return BackendKind::kScalar;
   if (name == "avx2") return BackendKind::kAvx2;
-  if (name == "neon") return BackendKind::kNeon;
   if (name == "auto") return BackendKind::kAuto;
   return std::nullopt;
 }

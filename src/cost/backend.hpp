@@ -16,8 +16,7 @@ namespace naas::cost {
 enum class BackendKind : int {
   kScalar = 0,  ///< the reference implementation (always available)
   kAvx2 = 1,    ///< x86 AVX2 intrinsics (requires CPU + compiler support)
-  kNeon = 2,    ///< ARM NEON dispatch seam (kernels currently delegate)
-  kAuto = 3,    ///< best available: avx2 > neon > scalar
+  kAuto = 2,    ///< best available: avx2 > scalar
 };
 
 /// The struct-of-arrays view of one evaluate_batch call that the backend
@@ -125,7 +124,7 @@ const Backend* backend_for(BackendKind kind);
 /// True when `kind` can actually run here (compiled in + CPU supports it).
 bool backend_available(BackendKind kind);
 
-/// Resolves kAuto to the best available kind (avx2 > neon > scalar) and
+/// Resolves kAuto to the best available kind (avx2 > scalar) and
 /// any unavailable explicit request to kScalar. The returned kind is
 /// always available.
 BackendKind resolve_backend(BackendKind requested);
@@ -135,7 +134,7 @@ BackendKind resolve_backend(BackendKind requested);
 /// ignored with a warning.
 BackendKind default_backend_kind();
 
-/// Stable name of a kind ("scalar", "avx2", "neon", "auto").
+/// Stable name of a kind ("scalar", "avx2", "auto").
 const char* backend_kind_name(BackendKind kind);
 
 /// Parses a kind name; nullopt on unknown input.

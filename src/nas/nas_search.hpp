@@ -34,6 +34,14 @@ struct SubnetResult {
 /// Evolves an OFA-ResNet50 subnet minimizing EDP on a *fixed* accelerator,
 /// subject to the accuracy constraint. Exposed separately because both the
 /// full co-search (below) and the NHAS baseline reuse it.
+///
+/// Runs in phases: the initial population's sampling rounds, then one per
+/// breeding round. A phase proposes its subnets from the rng and the
+/// accuracy predictor alone, makes their layers resident with one
+/// evaluator.fill(), and then scores them in proposal order: bit for bit
+/// what scoring each subnet as it is drawn returns. It throws
+/// std::logic_error if an accuracy-feasible child scores non-finite on an
+/// accelerator that maps a population member (see run_cosearch).
 SubnetResult evolve_subnet(search::ArchEvaluator& evaluator,
                            const arch::ArchConfig& arch,
                            const nn::OfaSpace& space,
@@ -55,11 +63,11 @@ struct CoSearchOptions {
   bool seed_baseline = true;
   search::MappingSearchOptions mapping;
   SubnetEvolutionOptions subnet;
-  /// Threads of the pool the co-search runs on. Each generation's subnet
-  /// evolutions run concurrently, one per accelerator candidate, and every
-  /// EDP query fans its mapping searches out across the same pool. Results
-  /// are bit-identical for every value. 0 => hardware default, 1 =>
-  /// serial, in candidate order.
+  /// Threads of the pool the co-search runs on. A generation's subnet
+  /// evolutions advance in lockstep: each phase's mapping searches run as
+  /// one fill across the pool, and the evolutions propose and score their
+  /// subnets as pool loops. Results are bit-identical for every value.
+  /// 0 => hardware default, 1 => serial, in candidate order.
   int num_threads = 0;
   /// Persistent mapping-result store (see NaasOptions::cache_path): loaded
   /// before the co-search, flushed after it unless cache_readonly.
@@ -99,11 +107,18 @@ struct CoSearchResult {
 /// accelerator's reward. Returns the best matched (accelerator, network,
 /// mapping) tuple.
 ///
-/// The seed design's evolution runs first; then each generation's
-/// evolutions run under one pool.parallel_for and the best is folded in
-/// candidate order. An evolution depends only on its (accelerator, seed),
-/// and every cached mapping result is a pure function of its key, so the
-/// result and the work meters are bit-identical for any thread count.
+/// Each generation's evolutions (generation 0's include the seed design's,
+/// which never feeds the optimizer) advance in lockstep, phase by phase
+/// (see evolve_subnet): every evolution proposes, one ArchEvaluator::fill
+/// covers the distinct (accelerator, layer) units of all of them, so a
+/// layer shape several accelerators need draws its normal stream once, and
+/// every evolution scores its subnets. Breeding rounds can propose before
+/// scoring because, on one accelerator, either every layer maps or none
+/// does (MappingSearch.MappabilityIsAPropertyOfTheAccelerator). The best is
+/// folded in design order, the seed design first. An evolution depends
+/// only on its (accelerator, seed), and every cached mapping result is a
+/// pure function of its key, so the result and the work meters are
+/// bit-identical for any thread count.
 CoSearchResult run_cosearch(const cost::CostModel& model,
                             const CoSearchOptions& options);
 

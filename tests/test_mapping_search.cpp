@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <unordered_set>
 #include <vector>
 
 #include "arch/presets.hpp"
@@ -13,6 +14,7 @@
 #include "mapping/canonical.hpp"
 #include "mapping/legality.hpp"
 #include "nn/model_zoo.hpp"
+#include "nn/ofa_space.hpp"
 
 namespace naas::search {
 namespace {
@@ -193,6 +195,77 @@ TEST(MappingSearch, ResultBitsMatchRecordedDigest) {
     }
     EXPECT_EQ(core::fnv1a64(bits.bytes()), 0x258bd20b71331362ULL)
         << (predrawn ? "mapping_normals stream" : "own draws");
+  }
+}
+
+TEST(MappingSearch, MappabilityIsAPropertyOfTheAccelerator) {
+  // The co-search scores a breeding round's children together because, on
+  // one accelerator, either every layer maps or none does: the decoder and
+  // the canonical seeds repair tiles down to at worst all ones (3 B for
+  // every layer kind), and the validity gates read only the accelerator.
+  // Checked on every preset and 32 seeded decoded designs per envelope
+  // (half of them sizing-only), against every unique layer of the zoo
+  // networks and of 8 seeded OFA subnets: each search finds a finite
+  // mapping, with the canonical seeds and from decoded genomes alone. The
+  // same designs with a 2-byte L1 or L2 map nothing; a seeded search
+  // scores both kinds of candidate, so one budget shows it.
+  const cost::CostModel model;
+  std::vector<arch::ArchConfig> archs = {
+      arch::edge_tpu_arch(), arch::nvdla_1024_arch(), arch::nvdla_256_arch(),
+      arch::eyeriss_arch(), arch::shidiannao_arch()};
+  core::Rng rng(2025);
+  for (const arch::ResourceConstraint& rc :
+       {arch::edge_tpu_resources(), arch::nvdla_1024_resources(),
+        arch::nvdla_256_resources(), arch::eyeriss_resources(),
+        arch::shidiannao_resources()}) {
+    for (int k = 0; k < 32; ++k) {
+      const HwEncodingSpec hw =
+          make_hw_spec(rc, OrderEncoding::kImportance, k % 2 == 0);
+      std::vector<double> genome(static_cast<std::size_t>(hw.genome_size()));
+      do {
+        for (double& g : genome) g = rng.uniform();
+      } while (!hw.valid(genome));
+      archs.push_back(hw.decode(genome));
+    }
+  }
+  std::vector<nn::Network> nets;
+  for (const char* name :
+       {"vgg16", "resnet50", "unet", "mobilenetv2", "squeezenet", "mnasnet",
+        "cifarnet", "bert_base_encoder", "vit_b16_encoder", "llm_decode",
+        "llm_decode_8k"})
+    nets.push_back(nn::make_network(name));
+  const nn::OfaSpace space;
+  core::Rng ofa_rng(8);
+  for (int i = 0; i < 8; ++i)
+    nets.push_back(space.to_network(space.sample(ofa_rng)));
+  std::vector<nn::Workload> layers;
+  std::unordered_set<nn::Workload, nn::LayerShapeHash, nn::LayerShapeEq> seen;
+  for (const nn::Network& net : nets)
+    for (const auto& [layer, count] : net.unique_layers())
+      if (seen.insert(layer).second) layers.push_back(layer);
+
+  MappingSearchOptions seeded;
+  seeded.population = 2;
+  seeded.iterations = 1;
+  MappingSearchOptions unseeded = seeded;
+  unseeded.seed_canonical = false;
+  const std::vector<double> normals = mapping_normals(seeded);
+  for (const arch::ArchConfig& design : archs) {
+    arch::ArchConfig no_l1 = design;
+    no_l1.l1_bytes = 2;
+    arch::ArchConfig no_l2 = design;
+    no_l2.l2_bytes = 2;
+    for (const nn::Workload& layer : layers) {
+      for (const MappingSearchOptions& opts : {seeded, unseeded})
+        EXPECT_TRUE(std::isfinite(
+            search_mapping(model, design, layer, opts, normals).best_edp))
+            << design.to_string() << " / " << layer.name;
+      for (const arch::ArchConfig& unmappable : {no_l1, no_l2})
+        EXPECT_TRUE(std::isinf(
+            search_mapping(model, unmappable, layer, seeded, normals)
+                .best_edp))
+            << unmappable.to_string() << " / " << layer.name;
+    }
   }
 }
 

@@ -11,6 +11,8 @@
 
 #include "arch/presets.hpp"
 #include "core/rng.hpp"
+#include "core/serialize.hpp"
+#include "core/thread_pool.hpp"
 
 namespace naas::nas {
 namespace {
@@ -161,9 +163,9 @@ TEST(CoSearch, JointBeatsFixedNetOnEdp) {
 TEST(CoSearch, ResultIdenticalAcrossThreadCounts) {
   // Every output and work meter of a co-search is a pure function of
   // (inputs, options). With several threads a generation's subnet
-  // evolutions run concurrently and may search shared (arch, layer) units
-  // at the same time; the pooled run must still match the serial one bit
-  // for bit.
+  // evolutions propose and score their subnets concurrently, and each
+  // phase's shared fill runs its layer groups concurrently; the pooled run
+  // must still match the serial one bit for bit.
   const cost::CostModel model;
   CoSearchOptions opts;
   opts.resources = arch::nvdla_256_resources();
@@ -191,6 +193,184 @@ TEST(CoSearch, ResultIdenticalAcrossThreadCounts) {
   EXPECT_EQ(pooled.generations_batched, serial.generations_batched);
   EXPECT_EQ(pooled.candidates_batch_evaluated,
             serial.candidates_batch_evaluated);
+}
+
+/// Appends a search outcome and the four work meters to `bits`.
+void digest_meters(core::ByteWriter& bits, long long mapping_searches,
+                   long long cost_evaluations, long long generations_batched,
+                   long long candidates_batch_evaluated) {
+  bits.i64(mapping_searches);
+  bits.i64(cost_evaluations);
+  bits.i64(generations_batched);
+  bits.i64(candidates_batch_evaluated);
+}
+
+void digest_subnet(core::ByteWriter& bits, const nn::OfaConfig& config,
+                   double accuracy, double edp) {
+  bits.u64(config.fingerprint());
+  bits.f64(accuracy);
+  bits.f64(edp);
+}
+
+TEST(SubnetEvolution, ResultMatchesRecordedDigest) {
+  // Pins every output bit and work meter of single subnet evolutions, at 1
+  // and 4 evaluation threads: a 75% floor on NVDLA-256, the 78.6% default
+  // floor on Eyeriss (populations of one), 77% on EdgeTPU, the NHAS
+  // width-only space on an unseeded mapping search, and a design whose
+  // 2-byte L1 holds no tile at all, which must spend every sample attempt
+  // and report +inf. The expected value was recorded from the one-subnet-
+  // at-a-time loop; never re-record it to make a change pass.
+  const cost::CostModel model;
+  const nn::OfaSpace space;
+  const nn::AccuracyPredictor predictor;
+  arch::ArchConfig no_l1 = arch::nvdla_256_arch();
+  no_l1.l1_bytes = 2;
+  struct Case {
+    arch::ArchConfig arch;
+    double min_accuracy;
+    bool width_only;
+    std::uint64_t seed;
+  };
+  const Case cases[] = {
+      {arch::nvdla_256_arch(), 75.0, false, 3},
+      {arch::eyeriss_arch(), 78.6, false, 5},
+      {arch::edge_tpu_arch(), 77.0, false, 7},
+      {arch::nvdla_256_arch(), 76.0, true, 9},
+      {no_l1, 75.0, false, 11},
+  };
+  for (const int threads : {1, 4}) {
+    core::ThreadPool pool(threads);
+    core::ByteWriter bits;
+    for (const Case& c : cases) {
+      search::MappingSearchOptions mapping = tiny_mapping();
+      mapping.seed_canonical = !c.width_only;
+      search::ArchEvaluator ev(model, mapping, &pool);
+      SubnetEvolutionOptions opts;
+      opts.min_accuracy = c.min_accuracy;
+      opts.population = 6;
+      opts.iterations = 3;
+      opts.seed = c.seed;
+      opts.width_and_expand_only = c.width_only;
+      const SubnetResult res =
+          evolve_subnet(ev, c.arch, space, predictor, opts);
+      if (c.arch.l1_bytes == 2) {
+        EXPECT_TRUE(std::isinf(res.edp));
+        EXPECT_GT(ev.mapping_searches(), 0);
+      } else {
+        EXPECT_TRUE(std::isfinite(res.edp));
+      }
+      digest_subnet(bits, res.config, res.accuracy, res.edp);
+      digest_meters(bits, ev.mapping_searches(), ev.cost_evaluations(),
+                    ev.generations_batched(), ev.candidates_batch_evaluated());
+    }
+    EXPECT_EQ(core::fnv1a64(bits.bytes()), 0x935b4748be8e26c3ULL)
+        << threads << " threads";
+  }
+}
+
+TEST(CoSearch, ResultMatchesRecordedDigest) {
+  // Pins every output bit and work meter of whole co-searches, at 1 and 4
+  // threads: NVDLA-256 at the naasbench cosearch_ofa budget and 75% floor,
+  // Eyeriss at the 78.6% default floor (populations of one), EdgeTPU at
+  // 77%, the NHAS space (sizing-only accelerators, width-only subnets,
+  // unseeded tiling search), a search without the seed design, and one
+  // that runs only the seed design's evolution. The expected value was
+  // recorded from the one-subnet-at-a-time loop; never re-record it to
+  // make a change pass.
+  const cost::CostModel model;
+  std::vector<CoSearchOptions> configs;
+  {
+    CoSearchOptions o;
+    o.resources = arch::nvdla_256_resources();
+    o.hw_population = 4;
+    o.hw_iterations = 2;
+    o.seed = 2;
+    o.mapping.population = 8;
+    o.mapping.iterations = 5;
+    o.mapping.seed = 2;
+    o.subnet.min_accuracy = 75.0;
+    o.subnet.population = 8;
+    o.subnet.iterations = 4;
+    configs.push_back(o);
+  }
+  {
+    CoSearchOptions o;
+    o.resources = arch::eyeriss_resources();
+    o.hw_population = 4;
+    o.hw_iterations = 2;
+    o.seed = 3;
+    o.mapping = tiny_mapping();
+    o.subnet.population = 5;
+    o.subnet.iterations = 3;
+    configs.push_back(o);
+  }
+  {
+    CoSearchOptions o;
+    o.resources = arch::edge_tpu_resources();
+    o.hw_population = 4;
+    o.hw_iterations = 2;
+    o.seed = 4;
+    o.mapping = tiny_mapping();
+    o.subnet.min_accuracy = 77.0;
+    o.subnet.population = 5;
+    o.subnet.iterations = 2;
+    configs.push_back(o);
+  }
+  {
+    CoSearchOptions o;
+    o.resources = arch::nvdla_256_resources();
+    o.hw_population = 4;
+    o.hw_iterations = 2;
+    o.seed = 5;
+    o.search_connectivity = false;
+    o.mapping = tiny_mapping();
+    o.mapping.encoding.search_order = false;
+    o.mapping.encoding.fixed_dataflow = arch::Dataflow::kWeightStationary;
+    o.mapping.seed_canonical = false;
+    o.subnet.min_accuracy = 76.0;
+    o.subnet.population = 5;
+    o.subnet.iterations = 2;
+    o.subnet.width_and_expand_only = true;
+    configs.push_back(o);
+  }
+  {
+    CoSearchOptions o;
+    o.resources = arch::nvdla_256_resources();
+    o.hw_population = 4;
+    o.hw_iterations = 2;
+    o.seed = 6;
+    o.seed_baseline = false;
+    o.mapping = tiny_mapping();
+    o.subnet.min_accuracy = 76.0;
+    o.subnet.population = 5;
+    o.subnet.iterations = 2;
+    configs.push_back(o);
+  }
+  {
+    CoSearchOptions o;
+    o.resources = arch::nvdla_256_resources();
+    o.hw_iterations = 0;
+    o.seed = 7;
+    o.mapping = tiny_mapping();
+    o.subnet.min_accuracy = 76.0;
+    o.subnet.population = 5;
+    o.subnet.iterations = 2;
+    configs.push_back(o);
+  }
+  for (const int threads : {1, 4}) {
+    core::ByteWriter bits;
+    for (CoSearchOptions o : configs) {
+      o.num_threads = threads;
+      const CoSearchResult r = run_cosearch(model, o);
+      EXPECT_TRUE(std::isfinite(r.best_edp));
+      bits.u64(search::arch_fingerprint(r.best_arch));
+      digest_subnet(bits, r.best_net, r.best_accuracy, r.best_edp);
+      digest_meters(bits, r.mapping_searches, r.cost_evaluations,
+                    r.generations_batched, r.candidates_batch_evaluated);
+    }
+    EXPECT_EQ(core::fnv1a64(bits.bytes()), 0xe8314c60559c0de2ULL)
+        << threads << " threads";
+  }
 }
 
 }  // namespace
