@@ -15,55 +15,39 @@
 // model zoo -> resource envelope -> run_naas -> inspect the result.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "arch/presets.hpp"
+#include "core/flags.hpp"
 #include "cost/backend.hpp"
 #include "cost/network_cost.hpp"
 #include "nn/model_zoo.hpp"
 #include "search/accelerator_search.hpp"
+#include "search/result_store.hpp"
 
 int main(int argc, char** argv) {
   using namespace naas;
 
-  int iterations = 10;
   std::string cache_path;
   bool cache_readonly = false;
-  std::optional<cost::BackendKind> cost_backend;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--cache-path") == 0 && i + 1 < argc) {
-      cache_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--cache-readonly") == 0) {
-      cache_readonly = true;
-    } else if (std::strcmp(argv[i], "--cost-backend") == 0 && i + 1 < argc) {
-      const auto kind = cost::parse_backend_kind(argv[++i]);
-      if (!kind || !cost::backend_available(*kind)) {
-        std::fprintf(stderr,
-                     "bad or unavailable cost backend '%s' "
-                     "(scalar|avx2|auto)\n",
-                     argv[i]);
-        return 2;
-      }
-      cost_backend = *kind;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr,
-                   "unknown flag: %s\n"
-                   "usage: quickstart [iterations] [--cache-path <file>] "
-                   "[--cache-readonly] [--cost-backend <kind>]\n",
-                   argv[i]);
-      return 2;
-    } else {
-      iterations = std::atoi(argv[i]);
-      if (iterations <= 0) {
-        std::fprintf(stderr, "iterations must be a positive integer, got "
-                             "'%s'\n", argv[i]);
-        return 2;
-      }
-    }
-  }
+  std::optional<cost::BackendKind> backend;
+  const core::Flags flags("usage: quickstart [iterations] [flags]\n",
+                          {search::cache_path_flag(&cache_path),
+                           search::cache_readonly_flag(&cache_readonly),
+                           cost::cost_backend_flag(&backend)});
+  std::vector<std::string> args;
+  if (const std::string why = flags.parse(argc, argv, &args); !why.empty())
+    return flags.usage_error(why);
+  std::uint64_t iterations = 10;
+  if (args.size() > 1 ||
+      (args.size() == 1 &&
+       !core::parse_uint(args[0], 1, std::numeric_limits<int>::max(),
+                         &iterations)))
+    return flags.usage_error("iterations must be one positive integer");
+  if (!cost::backend_usable(backend)) return 1;
 
   // 1. Pick a workload and a resource envelope (max #PEs, on-chip SRAM,
   //    NoC bandwidth — Section III-A of the paper).
@@ -74,7 +58,8 @@ int main(int argc, char** argv) {
   std::printf("envelope : %s\n\n", budget.to_string().c_str());
 
   // 2. Evaluate the human-designed baseline (Eyeriss, row-stationary).
-  const cost::CostModel model;
+  const cost::CostModel model(cost::EnergyModel{},
+                              backend.value_or(cost::default_backend_kind()));
   const arch::ArchConfig eyeriss = arch::eyeriss_arch();
   const cost::NetworkCost baseline =
       cost::evaluate_network_canonical(model, eyeriss, net);
@@ -87,15 +72,14 @@ int main(int argc, char** argv) {
   search::NaasOptions opts;
   opts.resources = budget;
   opts.population = 12;
-  opts.iterations = iterations;
+  opts.iterations = static_cast<int>(iterations);
   opts.mapping.population = 10;
   opts.mapping.iterations = 6;
   opts.seed = 1;
   opts.cache_path = cache_path;
   opts.cache_readonly = cache_readonly;
-  opts.cost_backend = cost_backend;
   const search::NaasResult result = search::run_naas(model, opts, {net});
-  std::fprintf(stderr, "cost backend: %s\n", result.cost_backend.c_str());
+  std::fprintf(stderr, "cost backend: %s\n", model.backend_name());
   if (!cache_path.empty())
     std::fprintf(stderr,
                  "store: loaded %lld entries from %s; mapping searches run: "

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace naas::core {
 
@@ -9,8 +10,12 @@ int env_int(const std::string& name, int fallback) {
   const char* value = std::getenv(name.c_str());
   if (value == nullptr || *value == '\0') return fallback;
   char* end = nullptr;
+  // strtol saturates on overflow, so the range check rejects that too.
   const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0') return fallback;
+  if (end == value || *end != '\0' ||
+      parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max())
+    return fallback;
   return static_cast<int>(parsed);
 }
 

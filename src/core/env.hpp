@@ -5,8 +5,8 @@
 namespace naas::core {
 
 /// Reads an integer from environment variable `name`; returns `fallback` if
-/// unset or unparsable. Used by the bench harness to scale search budgets
-/// (e.g. NAAS_BENCH_FULL=1 selects paper-scale budgets).
+/// unset, unparsable or out of int's range. Used by the bench harness to
+/// scale search budgets (e.g. NAAS_BENCH_FULL=1 selects paper-scale budgets).
 int env_int(const std::string& name, int fallback);
 
 /// Reads a boolean ("1"/"true"/"yes" => true) with a fallback.

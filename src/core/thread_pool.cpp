@@ -1,8 +1,10 @@
 #include "core/thread_pool.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "core/env.hpp"
+#include "core/log.hpp"
 
 namespace naas::core {
 
@@ -47,7 +49,10 @@ void ThreadPool::run_loop(Loop& loop) {
 
 int ThreadPool::default_num_threads() {
   const int from_env = env_int("NAAS_NUM_THREADS", 0);
-  if (from_env > 0) return from_env;
+  if (from_env > kMaxThreads)
+    log_warn("ignoring NAAS_NUM_THREADS above " + std::to_string(kMaxThreads));
+  else if (from_env > 0)
+    return from_env;
   return std::max(1u, std::thread::hardware_concurrency());
 }
 

@@ -63,8 +63,13 @@ class ThreadPool {
     return out;
   }
 
+  /// Most threads a count from outside the program (a flag or the
+  /// environment) may ask for.
+  static constexpr int kMaxThreads = 1024;
+
   /// Thread count used for `num_threads <= 0`: the NAAS_NUM_THREADS
-  /// environment variable when set, else `hardware_concurrency`.
+  /// environment variable when it is in [1, kMaxThreads] (a larger value is
+  /// ignored with a warning), else `hardware_concurrency`.
   static int default_num_threads();
 
  private:

@@ -1,5 +1,6 @@
 #include "cost/backend.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "core/log.hpp"
@@ -88,6 +89,24 @@ std::optional<BackendKind> parse_backend_kind(const std::string& name) {
   if (name == "avx2") return BackendKind::kAvx2;
   if (name == "auto") return BackendKind::kAuto;
   return std::nullopt;
+}
+
+core::Flag cost_backend_flag(std::optional<BackendKind>* out) {
+  return {"--cost-backend", "<scalar|avx2|auto>",
+          "cost kernels (default $NAAS_COST_BACKEND, else auto)",
+          [out](const std::string& value) {
+            *out = parse_backend_kind(value);
+            return *out ? std::string()
+                        : "unknown cost backend '" + value +
+                              "' (scalar|avx2|auto)";
+          }};
+}
+
+bool backend_usable(std::optional<BackendKind> kind) {
+  if (!kind || backend_available(*kind)) return true;
+  std::fprintf(stderr, "cost backend '%s' unavailable on this host\n",
+               backend_kind_name(*kind));
+  return false;
 }
 
 }  // namespace naas::cost

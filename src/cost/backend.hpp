@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 
+#include "core/flags.hpp"
 #include "cost/layer_context.hpp"
 
 namespace naas::cost {
@@ -139,5 +140,14 @@ const char* backend_kind_name(BackendKind kind);
 
 /// Parses a kind name; nullopt on unknown input.
 std::optional<BackendKind> parse_backend_kind(const std::string& name);
+
+/// The --cost-backend flag: stores a kind name into `*out` and rejects any
+/// other text. Unset (nullopt) keeps default_backend_kind().
+core::Flag cost_backend_flag(std::optional<BackendKind>* out);
+
+/// False, after saying why on stderr, when `kind` asks for a backend this
+/// build or CPU cannot run: an explicit request is an error, never a
+/// silent fallback. True for nullopt and for every runnable kind.
+bool backend_usable(std::optional<BackendKind> kind);
 
 }  // namespace naas::cost

@@ -7,6 +7,7 @@
 
 #include "arch/accelerator.hpp"
 #include "core/fault.hpp"
+#include "core/flags.hpp"
 #include "core/serialize.hpp"
 #include "nn/layer.hpp"
 #include "nn/model_zoo.hpp"
@@ -22,14 +23,10 @@ constexpr const char* kPingLine = "{\"id\":null,\"method\":\"ping\"}";
 constexpr const char* kRefreshLine = "{\"id\":null,\"method\":\"refresh\"}";
 
 bool parse_port(const std::string& text, int* port) {
-  if (text.empty() || text.size() > 5) return false;
-  int value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-  }
-  if (value < 1 || value > 65535) return false;
-  *port = value;
+  std::uint64_t value = 0;
+  if (text.size() > 5 || !core::parse_uint(text, 1, 65535, &value))
+    return false;
+  *port = static_cast<int>(value);
   return true;
 }
 

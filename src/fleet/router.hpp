@@ -73,7 +73,7 @@ struct RouterStats {
 
 /// Consistent-hash sharding front end for a fleet of evaluator workers —
 /// the serving layer's scale-out story. Implements serve::LineHandler, so
-/// the stock serve::Server (or the stdin driver) can front it unchanged:
+/// serve::serve_lines (stdin, or the stock serve::Server) fronts it unchanged:
 /// clients speak the exact single-service line protocol to the router and
 /// cannot tell N workers from one, byte for byte.
 ///

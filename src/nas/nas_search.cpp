@@ -251,11 +251,7 @@ CoSearchResult run_cosearch(const cost::CostModel& model,
       options.resources, options.hw_encoding, options.search_connectivity);
 
   core::ThreadPool pool(options.num_threads);
-  // --cost-backend override on a local model copy, as in run_naas.
-  cost::CostModel backend_model = model;
-  if (options.cost_backend) backend_model.set_backend(*options.cost_backend);
-  result.cost_backend = backend_model.backend_name();
-  search::ArchEvaluator evaluator(backend_model, options.mapping, &pool);
+  search::ArchEvaluator evaluator(model, options.mapping, &pool);
   result.store_entries_loaded =
       search::warm_start_from_store(evaluator, options.cache_path);
   const nn::OfaSpace space;

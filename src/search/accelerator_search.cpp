@@ -240,13 +240,7 @@ NaasResult run_naas(const cost::CostModel& model, const NaasOptions& options,
       options.resources, options.hw_encoding, options.search_connectivity);
 
   core::ThreadPool pool(options.num_threads);
-  // --cost-backend re-targets evaluation onto a local copy of the model:
-  // CostModel is a value type (energy params + backend pointer), and the
-  // byte-identity contract makes the swap invisible to every result.
-  cost::CostModel backend_model = model;
-  if (options.cost_backend) backend_model.set_backend(*options.cost_backend);
-  result.cost_backend = backend_model.backend_name();
-  ArchEvaluator evaluator(backend_model, options.mapping, &pool);
+  ArchEvaluator evaluator(model, options.mapping, &pool);
   result.store_entries_loaded =
       warm_start_from_store(evaluator, options.cache_path);
 

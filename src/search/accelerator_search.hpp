@@ -1,14 +1,12 @@
 #pragma once
 
 #include <atomic>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "arch/resources.hpp"
 #include "core/thread_pool.hpp"
-#include "cost/backend.hpp"
 #include "cost/network_cost.hpp"
 #include "nn/network.hpp"
 #include "search/eval_cache.hpp"
@@ -234,12 +232,6 @@ struct NaasOptions {
   std::string cache_path;
   /// Load the store but never write it back (shared/read-only caches).
   bool cache_readonly = false;
-  /// Cost-kernel backend override (--cost-backend). nullopt leaves the
-  /// caller's CostModel untouched; a value re-targets evaluation onto a
-  /// copy of the model with that backend selected (kAuto picks the best
-  /// available). Pure throughput knob: every backend is byte-identical to
-  /// scalar, so results never depend on it.
-  std::optional<cost::BackendKind> cost_backend;
 };
 
 /// Outcome of a NAAS accelerator+mapping co-search.
@@ -263,10 +255,6 @@ struct NaasResult {
   /// Entries warm-started from NaasOptions::cache_path (0 when disabled,
   /// missing, or rejected).
   long long store_entries_loaded = 0;
-  /// Resolved cost-kernel backend that scored this search ("scalar",
-  /// "avx2", ...) — what NaasOptions::cost_backend (or the model default)
-  /// actually dispatched to.
-  std::string cost_backend;
   double wall_seconds = 0;
 };
 

@@ -332,4 +332,17 @@ void flush_cache(const EvalCache& cache, const std::string& path,
   warn_store_write_failed(path, ResultStore::save(path, cache.snapshot()));
 }
 
+core::Flag cache_path_flag(std::string* path) {
+  return core::text_flag("--cache-path", "<file>", path,
+                         "persistent mapping-result store (warm start)");
+}
+
+core::Flag cache_readonly_flag(bool* readonly) {
+  return {"--cache-readonly", "", "load the store but never write it back",
+          [readonly](const std::string&) {
+            *readonly = true;
+            return std::string();
+          }};
+}
+
 }  // namespace naas::search

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/flags.hpp"
 #include "search/mapping_search.hpp"
 
 namespace naas::search {
@@ -135,5 +136,10 @@ std::size_t warm_start_cache(EvalCache& cache, const std::string& path);
 /// (`path` empty) or `readonly`, logging a warning when the write fails.
 void flush_cache(const EvalCache& cache, const std::string& path,
                  bool readonly);
+
+/// The --cache-path and --cache-readonly flags of every front end that
+/// warm-starts from a store: its file, and whether to only read it.
+core::Flag cache_path_flag(std::string* path);
+core::Flag cache_readonly_flag(bool* readonly);
 
 }  // namespace naas::search

@@ -12,11 +12,11 @@ namespace naas::serve {
 /// The transport-facing contract of anything that can answer the line-JSON
 /// protocol: the warm evaluator itself (EvalService) and the fleet router
 /// (fleet::Router), which shards lines across N remote EvalServices. The
-/// TCP front end (serve::Server) and the stdin driver are written against
-/// this interface, so every transport works unchanged in front of either —
-/// and the byte-identity contract ("a response depends only on the request
-/// and the evaluation options, never on which process computed it") is what
-/// makes the two implementations interchangeable.
+/// line front end (serve_lines: stdin, or TCP via serve::Server) is written
+/// against this interface, so every transport works unchanged in front of
+/// either — and the byte-identity contract ("a response depends only on the
+/// request and the evaluation options, never on which process computed
+/// it") is what makes the two implementations interchangeable.
 class LineHandler {
  public:
   virtual ~LineHandler() = default;

@@ -450,4 +450,18 @@ Json batch_too_large_response(const Json& id, std::size_t max_batch) {
                             " requests");
 }
 
+bool is_blank_line(std::string_view line) {
+  for (const char c : line)
+    if (c != ' ' && c != '\t' && c != '\r') return false;
+  return true;
+}
+
+Json request_id(const std::string& line) {
+  std::string error;
+  const Json request = Json::parse(line, &error);
+  if (!error.empty() || !request.is_object()) return Json::null();
+  const Json* id = request.get("id");
+  return id ? *id : Json::null();
+}
+
 }  // namespace naas::serve

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "arch/accelerator.hpp"
 #include "cost/cost_model.hpp"
@@ -49,8 +50,8 @@ inline constexpr const char* kErrDeadlineExceeded = "deadline_exceeded";
 /// on a peer before ever surfacing this.
 inline constexpr const char* kErrDegraded = "degraded";
 
-/// Defensive protocol limits, shared by the stdin driver and the TCP
-/// server. A request line longer than the cap is answered with a
+/// Defensive protocol limits, shared by serve_lines's stdin loop and the
+/// TCP server. A request line longer than the cap is answered with a
 /// structured bad_request instead of being fed to the JSON parser; lines
 /// past the batch cap in one submission are individually rejected the same
 /// way. Both are per-front-end configurable; these are the defaults.
@@ -62,6 +63,15 @@ inline constexpr std::size_t kDefaultMaxBatchRequests = 4096;
 /// limit refuses to parse).
 Json line_too_long_response(std::size_t max_line_bytes);
 Json batch_too_large_response(const Json& id, std::size_t max_batch);
+
+/// True for a line of spaces, tabs and carriage returns only: a batch
+/// separator on stdin, skipped over TCP.
+bool is_blank_line(std::string_view line);
+
+/// Best-effort id of a request answered without being evaluated (a
+/// protocol-limit reject, a shed or an expired deadline): null when the
+/// line does not parse as an object.
+Json request_id(const std::string& line);
 
 /// --- domain <-> JSON -----------------------------------------------------
 /// The *_from_json parsers accept what the matching *_to_json emits plus

@@ -5,31 +5,10 @@
 
 #include <algorithm>
 #include <iterator>
-#include <string_view>
 
 #include "core/log.hpp"
 
 namespace naas::serve {
-namespace {
-
-bool all_whitespace(std::string_view line) {
-  for (const char c : line)
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  return true;
-}
-
-/// Best-effort id extraction for responses produced without evaluating the
-/// request (shed, deadline-expired). A line that does not even parse still
-/// gets the structured error, just with a null id.
-Json extract_id(const std::string& line) {
-  std::string error;
-  const Json request = Json::parse(line, &error);
-  if (!error.empty() || !request.is_object()) return Json::null();
-  const Json* id = request.get("id");
-  return id ? *id : Json::null();
-}
-
-}  // namespace
 
 Server::Server(LineHandler& service, ServerOptions options)
     : service_(service), options_(std::move(options)) {}
@@ -95,7 +74,7 @@ void Server::dispatch_batch() {
         now - req.arrival > std::chrono::milliseconds(deadline_ms)) {
       ++stats_.requests_timed_out;
       service_.note_timeout();
-      deliver(req, error_response(extract_id(req.line), kErrDeadlineExceeded,
+      deliver(req, error_response(request_id(req.line), kErrDeadlineExceeded,
                                   "deadline of " +
                                       std::to_string(deadline_ms) +
                                       " ms expired before evaluation")
@@ -107,8 +86,8 @@ void Server::dispatch_batch() {
   }
 
   if (!lines.empty()) {
-    // The stdin driver's exact code path — what makes socket responses
-    // byte-identical to stdin mode.
+    // The exact code path of serve_lines's stdin loop — what makes socket
+    // responses byte-identical to stdin mode.
     std::vector<std::string> responses = service_.handle_lines(lines);
     for (std::size_t k = 0; k < responses.size(); ++k)
       deliver(*evaluated[k], std::move(responses[k]));
@@ -159,7 +138,7 @@ void Server::extract_lines(Conn& conn) {
     std::string_view line(conn.inbuf.data() + start, nl - start);
     start = nl + 1;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (all_whitespace(line)) continue;  // batch separators mean nothing here
+    if (is_blank_line(line)) continue;  // batch separators mean nothing here
     ++stats_.lines_received;
     if (line.size() > options_.max_line_bytes) {
       // Framing survived (we saw the newline): reject the line, keep the
@@ -201,7 +180,7 @@ void Server::admit_line(Conn& conn, std::string line) {
   ++stats_.requests_shed;
   service_.note_shed();
   conn.ready[conn.next_slot++] =
-      error_response(extract_id(line), kErrOverloaded,
+      error_response(request_id(line), kErrOverloaded,
                      "admission queue full (" +
                          std::to_string(options_.max_queue_requests) +
                          " requests); retry later")

@@ -80,8 +80,8 @@ struct ServerStats {
 /// every socket and the handler. Each pass accepts, reads, frames lines,
 /// enforces the protocol limits and admits requests to a bounded queue.
 /// It then dispatches one batch of up to max_batch_requests through
-/// LineHandler::handle_lines, which is exactly the stdin driver's code
-/// path, so responses are byte-identical to stdin mode. The responses go
+/// LineHandler::handle_lines, exactly as serve_lines's stdin loop does,
+/// so responses are byte-identical to stdin mode. The responses go
 /// straight into their connections' reorder buffers, the store refreshes
 /// at its cadence, and the pass ends by writing. Cold work still fans out
 /// on the evaluator's pool inside handle_lines. The handler's

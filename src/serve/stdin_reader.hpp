@@ -10,8 +10,8 @@
 
 namespace naas::serve {
 
-/// Line source of the stdin front ends (naas_serve and naas_router without
-/// --listen) that a signal handler can interrupt at any moment.
+/// Line source of serve_lines's stdin loop (naas_serve and naas_router
+/// without --listen) that a signal handler can interrupt at any moment.
 ///
 /// `while (!stop_flag && std::getline(std::cin, line))` loses a SIGINT or
 /// SIGTERM that lands after the flag check but before the read blocks (or

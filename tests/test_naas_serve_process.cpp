@@ -1,8 +1,11 @@
 // Process-level tests of the naas_serve binary: signal-driven graceful
 // drain in stdin mode (a SIGTERM'd warm server loses no completed
-// results), warm-restart byte-identity, the stdin protocol limits, and the
-// TCP listen mode end to end. Skipped when the binary is not next to the
-// test (ctest runs with the build directory as cwd, where it always is).
+// results), warm-restart byte-identity, the stdin protocol limits and
+// batching rules, command lines that must exit before boot, and the TCP
+// listen mode end to end; plus naas_router's and naas_cli's command-line
+// rejections.
+// Skipped when a binary is not next to the test (ctest runs with the
+// build directory as cwd, where it always is).
 
 #include <gtest/gtest.h>
 
@@ -21,18 +24,20 @@
 #include "net/client.hpp"
 #include "search/result_store.hpp"
 #include "serve/json.hpp"
+#include "serve/protocol.hpp"
 #include "test_temp.hpp"
 
 namespace naas {
 namespace {
 
 constexpr char kBinary[] = "./naas_serve";
+constexpr char kRouterBinary[] = "./naas_router";
 
 std::string temp_store_path(const std::string& name) {
   return test::unique_temp_path("naas_proc_" + name + ".bin");
 }
 
-/// A spawned naas_serve with pipes on stdin/stdout/stderr.
+/// A spawned naas_serve (or naas_router) with pipes on stdin/stdout/stderr.
 struct Child {
   pid_t pid = -1;
   int in = -1;   ///< write end of the child's stdin
@@ -58,7 +63,7 @@ struct Child {
     }
   }
 
-  bool spawn(std::vector<std::string> args) {
+  bool spawn(std::vector<std::string> args, const char* binary = kBinary) {
     int in_pipe[2], out_pipe[2], err_pipe[2];
     if (::pipe(in_pipe) != 0 || ::pipe(out_pipe) != 0 ||
         ::pipe(err_pipe) != 0)
@@ -73,10 +78,10 @@ struct Child {
                            err_pipe[0], err_pipe[1]})
         ::close(fd);
       std::vector<char*> argv;
-      argv.push_back(const_cast<char*>(kBinary));
+      argv.push_back(const_cast<char*>(binary));
       for (std::string& a : args) argv.push_back(a.data());
       argv.push_back(nullptr);
-      ::execv(kBinary, argv.data());
+      ::execv(binary, argv.data());
       ::_exit(127);
     }
     ::close(in_pipe[0]);
@@ -244,6 +249,50 @@ TEST(NaasServeProcess, StdinModeEnforcesProtocolLimits) {
   EXPECT_EQ(child.wait_exit(), 0);
 }
 
+TEST(NaasServeProcess, StdinSessionKeepsBatchingRules) {
+  if (!binary_present()) GTEST_SKIP() << "naas_serve not in cwd";
+  Child child;
+  ASSERT_TRUE(child.spawn({"--max-line-bytes", "64", "--max-batch", "1"}));
+  // Batch 1: a ping, then a ping past the one-request cap, which keeps its
+  // id. The blank, second blank and whitespace-only lines after it submit
+  // batch 1 and then nothing. Batch 2 holds only an over-long line, so the
+  // service sees an empty batch, which it still counts. Batch 3 is the
+  // remainder, a ping with no final newline, submitted at EOF.
+  ASSERT_TRUE(child.send("{\"id\":1,\"method\":\"ping\"}\n"
+                         "{\"id\":2,\"method\":\"ping\"}\n"
+                         "\n"
+                         "\n"
+                         " \t\r\n" +
+                         std::string(100, 'x') +
+                         "\n"
+                         "\t \n"
+                         "{\"id\":3,\"method\":\"ping\"}"));
+  child.close_in();
+  const std::vector<std::string> expected = {
+      "{\"id\":1,\"ok\":true,\"result\":{\"pong\":true}}",
+      serve::batch_too_large_response(serve::Json::integer(2), 1).dump(),
+      serve::line_too_long_response(64).dump(),
+      "{\"id\":3,\"ok\":true,\"result\":{\"pong\":true}}"};
+  for (const std::string& want : expected) {
+    std::string got;
+    ASSERT_TRUE(child.read_stdout_line(&got));
+    EXPECT_EQ(got, want);
+  }
+  std::string line;
+  EXPECT_FALSE(child.read_stdout_line(&line, 2000)) << "extra: " << line;
+  bool saw_batches = false, saw_rejects = false;
+  while (child.read_stderr_line(&line, 10000)) {
+    if (line.find("serve: 2 queries in 3 batches (0 errors)") !=
+        std::string::npos)
+      saw_batches = true;
+    if (line.find("2 protocol rejects") != std::string::npos)
+      saw_rejects = true;
+  }
+  EXPECT_TRUE(saw_batches);
+  EXPECT_TRUE(saw_rejects);
+  EXPECT_EQ(child.wait_exit(), 0);
+}
+
 TEST(NaasServeProcess, SigintDrainsStdinModeLikeSigterm) {
   if (!binary_present()) GTEST_SKIP() << "naas_serve not in cwd";
   const std::string store = temp_store_path("sigint_flush");
@@ -314,6 +363,76 @@ TEST(NaasServeProcess, DegenerateMappingBudgetExitsLoudly) {
       if (line.find("bad " + flag) != std::string::npos) saw_reason = true;
     EXPECT_TRUE(saw_reason) << flag << ' ' << value;
   }
+}
+
+/// Spawns `binary` with `args` and expects the usage exit (2) before the
+/// program boots: stderr shows the usage and contains none of
+/// `boot_lines`.
+void expect_usage_exit(const char* binary, const std::vector<std::string>& args,
+                       const std::vector<std::string>& boot_lines) {
+  std::string what;
+  for (const std::string& a : args) what += a + ' ';
+  Child child;
+  ASSERT_TRUE(child.spawn(args, binary)) << what;
+  child.close_in();
+  EXPECT_EQ(child.wait_exit(), 2) << what;
+  std::string line;
+  bool saw_usage = false;
+  while (child.read_stderr_line(&line, 2000)) {
+    if (line.find("usage: ") != std::string::npos) saw_usage = true;
+    for (const std::string& boot : boot_lines)
+      EXPECT_EQ(line.find(boot), std::string::npos) << what << ": " << line;
+  }
+  EXPECT_TRUE(saw_usage) << what;
+}
+
+TEST(NaasServeProcess, MisreadCommandLinesExitBeforeBoot) {
+  if (!binary_present()) GTEST_SKIP() << "naas_serve not in cwd";
+  // Each of these was once read as some other setting: a wrapped port, an
+  // unbounded limit from -1, the hardware thread default, seed 0. Every
+  // "serve: " line comes once the service (and its pool) is up.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--listen", "127.0.0.1:70000"}, {"--listen", "abc"},
+      {"--listen", "127.0.0.1:-5"},    {"--listen", "127.0.0.1:"},
+      {"--max-line-bytes", "-1"},      {"--max-queue", "-1"},
+      {"--max-batch", "-1"},           {"--max-connections", "-1"},
+      {"--deadline-ms", "-1"},         {"--refresh-every", "1x"},
+      {"--threads", "-4"},             {"--seed", "abc"},
+      {"--seed", "-1"},                {"--bogus"},
+      {"--threads"},                   {"--cost-backend", "neon"},
+      {"stray"},                       {"--cost-backend=scalar"}};
+  for (const std::vector<std::string>& args : bad)
+    expect_usage_exit(kBinary, args, {"serve: "});
+}
+
+TEST(NaasServeProcess, RouterRejectsMisreadCommandLines) {
+  if (::access(kRouterBinary, X_OK) != 0)
+    GTEST_SKIP() << "naas_router not in cwd";
+  // --vnodes -1 once reached HashRing as SIZE_MAX and aborted the process
+  // on an uncaught std::length_error.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--workers", "127.0.0.1:1,127.0.0.1:2", "--vnodes", "-1"},
+      {"--workers", "127.0.0.1:1", "--vnodes", "4097"},
+      {"--workers", "127.0.0.1:1", "--listen", "127.0.0.1:70000"},
+      {"--workers", "127.0.0.1:1", "--max-attempts", "two"},
+      {"--workers", "127.0.0.1:1", "--bogus"},
+      {"--workers", "nohost:port"},
+      {"--listen", "127.0.0.1:0"}};
+  for (const std::vector<std::string>& args : bad)
+    expect_usage_exit(kRouterBinary, args, {"router: "});
+}
+
+TEST(NaasServeProcess, NaasCliRejectsMisreadCommandLines) {
+  if (::access("./naas_cli", X_OK) != 0) GTEST_SKIP() << "naas_cli not in cwd";
+  // An unknown flag once became the seed (0) and `ten` zero iterations;
+  // both ran a search and exited 0. Its "batch: " line follows a search.
+  const std::vector<std::vector<std::string>> bad = {
+      {"search", "cifarnet", "eyeriss", "1", "--bogus"},
+      {"search", "cifarnet", "eyeriss", "ten"},
+      {"search", "cifarnet", "eyeriss", "1", "2", "3"},
+      {"cosearch", "edgetpu", "78x"}};
+  for (const std::vector<std::string>& args : bad)
+    expect_usage_exit("./naas_cli", args, {"batch: "});
 }
 
 TEST(NaasServeProcess, ListenModeServesAndDrainsOnSigterm) {
